@@ -53,9 +53,14 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"vector is not valid JSON: {exc.msg}") from exc
-    vec = np.asarray(values, dtype=float)
+    try:
+        vec = np.asarray(values, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"vector must be a JSON list of numbers: {exc}") from exc
     if vec.shape != (dim,):
         raise ValueError(f"vector must have length {dim}, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("vector entries must be finite")
     return vec
 
 

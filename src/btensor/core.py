@@ -1,15 +1,15 @@
 """Dense hypermatrix arithmetic.
 
 A tensor here is an order-m, dimension-n real hypermatrix stored as a dense
-``(n, ..., n)`` float array.  This module provides the contraction
-primitives, the componentwise power, the vector norms, and the two
-degree-one positively homogeneous maps built from a tensor (the 2-norm
-rescaled contraction and the componentwise-root contraction).
+``(n, ..., n)`` float array.  One kernel, a chain of matrix-vector products
+contracting the last index first, gives :func:`contract` (one vector) and
+:func:`contract_batch` (a ``(k, n)`` batch as a leading axis, any order).
+On it rest the two degree-one homogeneous maps ``T`` (:func:`scaled_map`)
+and ``F`` (:func:`root_map`), each taking one vector or a batch.
 """
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 import numpy as np
 
@@ -28,7 +28,9 @@ __all__ = [
     "is_entry_symmetric",
 ]
 
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxy"  # 'z' reserved for the batch axis
+# contract_batch takes as many rows at a time as keep its first intermediate
+# (rows * n**(m-1) floats) within this cap, and at least one.
+_BATCH_FLOATS = 1 << 16
 
 
 class DimensionMismatch(ValueError):
@@ -133,17 +135,21 @@ def contract(tensor: Tensor, x) -> np.ndarray:
 
 
 def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`contract` for a batch of vectors, shape (k, n) -> (k, n)."""
+    """Row-wise :func:`contract`, (k, n) -> (k, n): the same chain with a leading batch axis."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != tensor.dim:
-        raise DimensionMismatch(f"expected shape (k, {tensor.dim}), got {pts.shape}")
-    m = tensor.order
-    if m > len(_EINSUM_LETTERS):
-        raise ValueError(f"order {m} exceeds the einsum contraction limit")
-    letters = _EINSUM_LETTERS[:m]
-    operands = ",".join("z" + c for c in letters[1:])
-    subscripts = f"{letters},{operands}->z{letters[0]}"
-    return np.einsum(subscripts, tensor.array, *([pts] * (m - 1)), optimize=True)
+    n = tensor.dim
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise DimensionMismatch(f"expected shape (k, {n}), got {pts.shape}")
+    flat = tensor.array.reshape(-1, n)
+    step = max(1, _BATCH_FLOATS // len(flat))
+    out = np.empty(pts.shape)
+    for lo in range(0, len(pts), step):
+        cols = pts[lo : lo + step, :, None]
+        part = flat @ cols
+        for _ in range(tensor.order - 2):
+            part = part.reshape(len(cols), -1, n) @ cols
+        out[lo : lo + step] = part[:, :, 0]
+    return out
 
 
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
@@ -197,41 +203,41 @@ def vector_norm(x, p: float = 2.0) -> float:
     return float(np.linalg.norm(v, ord=p))
 
 
+def _as_rows(tensor: Tensor, x) -> np.ndarray:
+    """A vector (n,) as a one-row batch; a (k, n) batch as it is."""
+    v = np.asarray(x, dtype=float)
+    return _as_vector(tensor, v)[None] if v.ndim == 1 else v
+
+
 def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """Degree-one homogeneous map: the contraction rescaled by ``|x|_2 ** (2 - m)``.
 
-    Defined as 0 at the origin.
+    Takes one vector (n,) or a batch (k, n), row by row; a zero row maps to 0.
     """
-    v = _as_vector(tensor, x)
-    if not v.any():
-        return np.zeros(tensor.dim)
-    scale = float(np.linalg.norm(v)) ** (2 - tensor.order)
-    return scale * contract(tensor, v)
-
-
-def signed_root(values, k: int) -> np.ndarray:
-    """Componentwise real k-th root for odd integer k, keeping the sign."""
-    v = np.asarray(values, dtype=float)
-    return np.sign(v) * np.abs(v) ** (1.0 / k)
+    pts = _as_rows(tensor, x)
+    values = contract_batch(tensor, pts)
+    norms = np.linalg.norm(pts, axis=1)
+    scale = np.zeros_like(norms)
+    scale[norms > 0] = norms[norms > 0] ** (2 - tensor.order)
+    return (values * scale[:, None]).reshape(np.shape(x))
 
 
 def root_map(tensor: Tensor, x) -> np.ndarray:
     """Degree-one homogeneous map: componentwise (m-1)-th root of the contraction.
 
     Only defined for even order m; m - 1 is then odd and the real root keeps
-    the sign of each component.
+    the sign of each component.  Takes one vector (n,) or a batch (k, n).
     """
     if tensor.order % 2:
         raise UnsupportedOrder(f"map needs an even order, got {tensor.order}")
-    return signed_root(contract(tensor, x), tensor.order - 1)
+    values = contract_batch(tensor, _as_rows(tensor, x))
+    return (np.sign(values) * np.abs(values) ** (1.0 / (tensor.order - 1))).reshape(np.shape(x))
 
 
-def is_entry_symmetric(tensor: Tensor, limit: int = 1_000_000) -> bool:
-    """Exhaustively check invariance of the entries under index permutations."""
-    if tensor.dim**tensor.order > limit:
-        raise ValueError("tensor too large for the exhaustive symmetry check")
+def is_entry_symmetric(tensor: Tensor) -> bool:
+    """Whether the entries are invariant under every permutation of the indices.
+
+    Adjacent index swaps generate all permutations, so only those m - 1 are checked.
+    """
     arr = tensor.array
-    return all(
-        np.array_equal(arr, arr.transpose(perm))
-        for perm in permutations(range(tensor.order))
-    )
+    return all(np.array_equal(arr, np.swapaxes(arr, k, k + 1)) for k in range(tensor.order - 1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, UnsupportedOrder, contract_batch
+from .core import Tensor, UnsupportedOrder, root_map, scaled_map
 from .structure import require_membership, row_profile
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 SANDWICH_SLACK = 1e-9
+
+_MAPS = {"T": scaled_map, "F": root_map}
 
 
 class SandwichViolation(ArithmeticError):
@@ -74,7 +76,7 @@ def _uniform_witness_value(tensor: Tensor, operator: str, p: float) -> float:
     estimate that includes the uniform start can never fall below it.
     """
     witness = _normalize_rows(np.ones((1, tensor.dim)), p)
-    return float(_row_norms(_apply_map_batch(tensor, witness, operator), p)[0])
+    return float(_row_norms(_MAPS[operator](tensor, witness), p)[0])
 
 
 def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tuple[float, float]:
@@ -126,14 +128,6 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     return float(lower), float(upper)
 
 
-def _apply_map_batch(tensor: Tensor, points: np.ndarray, operator: str) -> np.ndarray:
-    values = contract_batch(tensor, points)
-    if operator == "T":
-        scale = np.linalg.norm(points, axis=1) ** (2 - tensor.order)
-        return values * scale[:, None]
-    return np.sign(values) * np.abs(values) ** (1.0 / (tensor.order - 1))
-
-
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
         return np.abs(points).max(axis=1)
@@ -167,17 +161,15 @@ def estimate_norm(
     improvement.  The result is deterministic in the seed and never exceeds
     the true operator norm.
     """
-    _check_operator(operator)
+    apply_map = _MAPS[_check_operator(operator)]
     p = _check_p(p)
-    if operator == "F" and tensor.order % 2:
-        raise UnsupportedOrder(f"operator F needs an even order, got {tensor.order}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n = tensor.dim
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones((1, n)), np.eye(n), rng.standard_normal((samples, n))])
     points = _normalize_rows(starts, p)
-    values = _row_norms(_apply_map_batch(tensor, points, operator), p)
+    values = _row_norms(apply_map(tensor, points), p)
 
     steps = np.full(len(points), float(step))
     for _ in range(ascent_steps):
@@ -187,7 +179,7 @@ def estimate_norm(
                 candidates = points.copy()
                 candidates[:, j] += sign * steps
                 candidates = _normalize_rows(candidates, p)
-                cand_values = _row_norms(_apply_map_batch(tensor, candidates, operator), p)
+                cand_values = _row_norms(apply_map(tensor, candidates), p)
                 better = cand_values > values
                 points[better] = candidates[better]
                 values[better] = cand_values[better]

@@ -161,6 +161,8 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     Non-convergent starts are dropped; every returned pair re-checks its
     defining equation to within ``ACCEPT_RESIDUAL`` at the normalized vector.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
     rng = np.random.default_rng(seed)
 
@@ -249,6 +251,8 @@ def find_z_eigenpairs(
     formulation.  Returned vectors have unit 2-norm and residual at most
     ``ACCEPT_RESIDUAL``.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
     rng = np.random.default_rng(seed)
     symmetric = tensor.symmetric or is_entry_symmetric(tensor)

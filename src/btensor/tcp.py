@@ -186,6 +186,8 @@ def solve(
     point found (smallest residual, ties broken by lexicographically
     smallest x).  Non-convergence is reported, not raised.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
     for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
         x, w, res = _newton_from(instance, x0, max_iter, tol)
@@ -193,7 +195,6 @@ def solve(
             return TcpOutcome(x=x, w=w, residual=res, converged=True, starts_used=used)
         if best is None or res < best[2] or (res == best[2] and tuple(x) < tuple(best[0])):
             best = (x, w, res)
-    assert best is not None
     return TcpOutcome(x=best[0], w=best[1], residual=best[2], converged=False, starts_used=starts)
 
 
@@ -283,6 +284,8 @@ def boundedness_probe(
     every converged solution stays within 10x the smallest radius at which
     the solution set stops changing.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     require_membership(tensor, "B")
     instance = TcpInstance(tensor, q)
     rng = np.random.default_rng(seed)

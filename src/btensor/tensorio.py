@@ -8,12 +8,16 @@ Two on-disk forms are accepted:
   "entries": [[[i1, ..., im], value], ...]}`` with 1-based indices, where
   every position not listed takes ``entries_default``.
 
+Every entry must be a finite number: NaN, infinities and integers beyond
+the float range are rejected.
+
 Serialization always emits the dense form with a fixed key order, so a
 parse/serialize round trip of a file written here is byte identical.
 """
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -44,6 +48,16 @@ def _require_int(obj: dict, key: str, minimum: int) -> int:
     return value
 
 
+def _require_finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise TensorFormatError(f"{what} must be a finite number")
+    return number
+
+
 def tensor_from_obj(obj: Any) -> Tensor:
     """Build a :class:`Tensor` from a decoded JSON document."""
     if not isinstance(obj, dict):
@@ -55,12 +69,17 @@ def tensor_from_obj(obj: Any) -> Tensor:
         dense = obj["dense"]
         if not isinstance(dense, list):
             raise TensorFormatError("'dense' must be a list of numbers")
-        flat = np.asarray(dense, dtype=float)
+        try:
+            flat = np.asarray(dense, dtype=float)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise TensorFormatError("'dense' entries must be finite") from exc
         if flat.ndim != 1 or flat.size != dim**order:
             raise TensorFormatError(
                 f"'dense' must hold {dim**order} numbers for order {order}, dim {dim}, "
                 f"got {flat.size}"
             )
+        if not np.isfinite(flat).all():
+            raise TensorFormatError("'dense' entries must be finite")
         return Tensor.from_flat(order, dim, flat)
 
     if "entries" not in obj:
@@ -68,11 +87,12 @@ def tensor_from_obj(obj: Any) -> Tensor:
     default = obj.get("entries_default", 0.0)
     if not isinstance(default, (int, float)) or isinstance(default, bool):
         raise TensorFormatError(f"'entries_default' must be a number, got {default!r}")
+    default = _require_finite(default, "'entries_default'")
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise TensorFormatError("'entries' must be a list of [index, value] pairs")
 
-    arr = np.full((dim,) * order, float(default))
+    arr = np.full((dim,) * order, default)
     for pos, item in enumerate(entries):
         if (
             not isinstance(item, list)
@@ -90,7 +110,7 @@ def tensor_from_obj(obj: Any) -> Tensor:
                 raise TensorFormatError(
                     f"entry {pos}: index component {axis} must be in 1..{dim}, got {i!r}"
                 )
-        arr[tuple(i - 1 for i in index)] = float(value)
+        arr[tuple(i - 1 for i in index)] = _require_finite(value, f"entry {pos}: value")
     return Tensor(arr)
 
 

@@ -20,6 +20,16 @@ def naive_contract(tensor, x):
     return out
 
 
+def naive_is_symmetric(array):
+    """Entry-by-entry check of invariance under every index permutation."""
+    n, m = array.shape[0], array.ndim
+    for idx in itertools.product(range(n), repeat=m):
+        for perm in itertools.permutations(idx):
+            if array[perm] != array[idx]:
+                return False
+    return True
+
+
 def naive_row_sums(tensor):
     m, n = tensor.order, tensor.dim
     arr = tensor.array

@@ -38,6 +38,14 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "B0"
 
+    def test_non_finite_entry_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"order": 3, "dim": 2, "dense": [1, 0, 0, NaN, 0, 0, 0, 1]}')
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert not out
+        assert "must be finite" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "classify", "no-such-file.json")
         assert code == 2
@@ -116,6 +124,13 @@ class TestEigenCommand:
         assert payload["bound_report"]["all_within"]
         assert all(p["residual"] <= 1e-8 for p in payload["pairs"])
 
+    @pytest.mark.parametrize("kind", ["h", "z"])
+    def test_starts_below_one_is_usage_error(self, capsys, kind):
+        code, out, err = run_cli(capsys, "eigen", EX41, "--kind", kind, "--starts", "-3")
+        assert code == 2
+        assert not out
+        assert "starts must be >= 1" in err
+
     def test_z_kind(self, capsys):
         code, out, _ = run_cli(capsys, "eigen", EX42, "--kind", "z", "--starts", "6", "--seed", "2")
         assert code == 0
@@ -150,6 +165,22 @@ class TestTcpCommand:
         code, _, err = run_cli(capsys, "tcp", "solve", EX41, "--q", "[-1,-1]")
         assert code == 2
         assert "length 3" in err
+
+    def test_starts_below_one_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tcp", "solve", EX41, "--q", "[-1,-1,-1]", "--starts", "0")
+        assert code == 2
+        assert not out
+        assert "starts must be >= 1" in err
+
+    @pytest.mark.parametrize("vector", ["[NaN,-1,-1]", "[-1,Infinity,-1]", "[1e400,-1,-1]", '{"a": 1}'])
+    @pytest.mark.parametrize(
+        "argv", [["solve", EX41, "--q"], ["verify", EX41, "--q", "[-1,-1,-1]", "--x"]]
+    )
+    def test_bad_vector_is_usage_error(self, capsys, argv, vector):
+        code, out, err = run_cli(capsys, "tcp", *argv, vector)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: vector")
 
     def test_zero_solution_verify_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -239,3 +270,7 @@ class TestSubprocessDeterminism:
         assert runs[0].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout  # nonempty report
+        # Golden stdout for seed 7: a change meant to keep every result keeps these bytes.
+        golden = Path(__file__).resolve().parent / "data" / "verify_paper_seed7.json"
+        assert runs[0].stdout == golden.read_bytes()
+

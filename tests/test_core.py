@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,10 @@ from btensor import (
     vector_norm,
     vector_power,
 )
-from btensor.structure import random_tensor
+from btensor.core import _BATCH_FLOATS
+from btensor.structure import random_tensor, simplex_lattice
 
-from oracles import naive_contract
+from oracles import naive_contract, naive_is_symmetric
 
 
 class TestTensorType:
@@ -55,6 +57,33 @@ class TestTensorType:
         assert is_entry_symmetric(ex41)
         lopsided = Tensor.from_flat(2, 2, [0.0, 1.0, 2.0, 3.0])
         assert not is_entry_symmetric(lopsided)
+
+    @pytest.mark.parametrize("order,dim", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+    def test_symmetry_check_matches_permutation_oracle(self, order, dim, rng):
+        base = rng.integers(-9, 10, size=(dim,) * order).astype(float)  # exact sums
+
+        def symmetrised(k):
+            # Sum over the permutations that keep index positions 0..k-1 among
+            # themselves: for k < order only the adjacent swap (k-1, k) fails.
+            return sum(
+                np.transpose(base, left + right)
+                for left in itertools.permutations(range(k))
+                for right in itertools.permutations(range(k, order))
+            )
+
+        sym = symmetrised(order)
+        # Break symmetry at one entry and at its image under the swap of the
+        # first and last index (a non-adjacent pair), so that swap still holds.
+        broken = sym.copy()
+        idx = (0,) * (order - 1) + (1,)
+        broken[idx] += 1.0
+        broken[idx[::-1]] += 1.0
+        assert np.array_equal(broken, np.swapaxes(broken, 0, order - 1))
+        cases = [(sym, True), (broken, False), (base, False)]
+        cases += [(symmetrised(k), False) for k in range(1, order)]
+        for arr, expected in cases:
+            assert naive_is_symmetric(arr) is expected
+            assert is_entry_symmetric(Tensor(arr)) is expected
 
 
 class TestContract:
@@ -93,11 +122,30 @@ class TestContract:
         rhs = t ** (tensor.order - 1) * contract(tensor, x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
-    def test_batch_matches_single(self, ex41, rng):
-        pts = rng.uniform(-1.0, 1.0, size=(11, 3))
-        batched = contract_batch(ex41, pts)
+    def test_batch_matches_single(self, rng):
+        for order, dim in [(2, 5), (3, 1), (3, 4), (4, 3), (6, 3)]:
+            tensor = random_tensor(order, dim, rng)
+            pts = rng.uniform(-1.0, 1.0, size=(11, dim))
+            batched = contract_batch(tensor, pts)
+            for row, point in zip(batched, pts):
+                assert np.array_equal(row, contract(tensor, point)), (order, dim)
+
+    def test_batch_matches_single_across_blocks(self, rng):
+        tensor = random_tensor(4, 8, rng)
+        pts = simplex_lattice(8, 8)
+        assert len(pts) * 8**3 > 10 * _BATCH_FLOATS  # many row blocks
+        batched = contract_batch(tensor, pts)
         for row, point in zip(batched, pts):
-            np.testing.assert_allclose(row, contract(ex41, point), rtol=1e-13, atol=1e-13)
+            assert np.array_equal(row, contract(tensor, point))
+
+    def test_batch_has_no_order_cap(self):
+        tensor = Tensor(np.full((1,) * 26, 2.0))
+        batched = contract_batch(tensor, np.array([[3.0], [-1.0], [0.0]]))
+        assert np.array_equal(batched, [[2.0 * 3.0**25], [-2.0], [0.0]])
+        assert np.array_equal(batched[0], contract(tensor, [3.0]))
+
+    def test_empty_batch(self, ex41):
+        assert contract_batch(ex41, np.zeros((0, 3))).shape == (0, 3)
 
     def test_jacobian_matches_finite_differences(self, rng):
         tensor = random_tensor(4, 3, rng)
@@ -195,6 +243,25 @@ class TestHomogeneousMaps:
         t = Tensor.diagonal_tensor(3, 2)
         with pytest.raises(UnsupportedOrder):
             root_map(t, [1.0, 1.0])
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 6])
+    def test_batch_rows_match_single_vectors(self, order, rng):
+        tensor = random_tensor(order, 3, rng)
+        pts = rng.uniform(-1.0, 1.0, size=(6, 3))
+        pts[2] = 0.0
+        mappings = (scaled_map, root_map) if order % 2 == 0 else (scaled_map,)
+        for mapping in mappings:
+            batched = mapping(tensor, pts)
+            assert batched.shape == pts.shape
+            assert np.array_equal(batched[2], np.zeros(3))
+            for row, point in zip(batched, pts):
+                assert np.array_equal(row, mapping(tensor, point))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 3), ()])
+    def test_maps_reject_wrong_shapes(self, ex41, shape):
+        for mapping in (scaled_map, root_map):
+            with pytest.raises(DimensionMismatch):
+                mapping(ex41, np.ones(shape))
 
     @given(t=st.floats(min_value=0.001, max_value=1000.0))
     @settings(max_examples=50, deadline=None)

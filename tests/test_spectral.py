@@ -125,6 +125,12 @@ class TestFindZ:
         manual = find_z_eigenpairs(ex41, shift=1.0 + float(np.abs(ex41.entries).sum()), starts=8, seed=9)
         assert [p.value for p in auto] == [p.value for p in manual]
 
+    @pytest.mark.parametrize("search", [find_h_eigenpairs, find_z_eigenpairs])
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_starts_below_one_rejected(self, ex41, search, starts):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            search(ex41, starts=starts)
+
 
 class TestVerifyBounds:
     def test_empty_pair_list_is_vacuous(self, ex41):

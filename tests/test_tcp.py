@@ -87,6 +87,11 @@ class TestSolve:
         assert isinstance(outcome, TcpOutcome)
         assert outcome.residual >= 0
 
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_starts_below_one_rejected(self, ex41, starts):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            tcp_solve(make_instance(ex41, [-1.0, -1.0, -1.0]), starts=starts)
+
 
 class TestSolutionLowerBounds:
     def test_nonnegative_q_gives_zero_bounds(self, ex41):
@@ -197,6 +202,10 @@ class TestScalingAndBoundedness:
     def test_nonnegative_q_probe(self, rng):
         tensor = random_b_tensor(3, 3, rng)
         assert boundedness_probe(tensor, np.array([0.5, 1.0, 0.0]))
+
+    def test_probe_starts_below_one_rejected(self, ex41):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            boundedness_probe(ex41, -np.ones(3), starts=0)
 
     def test_probe_requires_strict_class(self):
         with pytest.raises(ClassificationError):
