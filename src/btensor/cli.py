@@ -20,7 +20,14 @@ import numpy as np
 from . import __version__
 from .core import Tensor
 from .datasets import load_example
-from .opnorms import bound_report, estimate_norm, f_norm_bounds, general_upper_bound, t_norm_bounds
+from .opnorms import (
+    SandwichViolation,
+    bound_report,
+    estimate_norm,
+    f_norm_bounds,
+    general_upper_bound,
+    t_norm_bounds,
+)
 from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
 from .structure import (
     classify,
@@ -404,6 +411,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SandwichViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_manifest(args, payload, started, args.inputs(args))
     return code
 

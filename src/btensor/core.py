@@ -6,6 +6,9 @@ contracting the last index first, gives :func:`contract` (one vector) and
 :func:`contract_batch` (a ``(k, n)`` batch as a leading axis, any order).
 On it rest the two degree-one homogeneous maps ``T`` (:func:`scaled_map`)
 and ``F`` (:func:`root_map`), each taking one vector or a batch.
+:func:`damped_newton` is the one Newton driver; the H- and Z-eigenpair
+searches and the complementarity solver supply only a residual and its
+Jacobian.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ __all__ = [
     "contract",
     "contract_batch",
     "contraction_jacobian",
+    "damped_newton",
     "homogeneous_form",
     "vector_power",
     "vector_norm",
@@ -167,6 +171,35 @@ def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
             part = part @ v
         jac += part
     return jac
+
+
+def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: float):
+    """Newton steps with a halving line search; returns the last accepted ``(z, g, merit)``.
+
+    ``evaluate(z)`` gives the point it accepts for ``z`` (it may project it), the
+    residual g there and its merit; ``jacobian(z, g)`` is g's derivative at z.  A step
+    takes the first length 1, 1/2, ... above ``min_step`` that lowers the merit; the
+    loop ends at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
+    """
+    z, g, merit = evaluate(z0)
+    for _ in range(max_iter):
+        if merit <= tol:
+            break
+        jac = jacobian(z, g)
+        try:
+            delta = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+        t = 1.0
+        while t > min_step:
+            trial = evaluate(z + t * delta)
+            if trial[2] < merit:
+                z, g, merit = trial
+                break
+            t *= 0.5
+        else:
+            break
+    return z, g, merit
 
 
 def homogeneous_form(tensor: Tensor, x) -> float:

@@ -224,7 +224,11 @@ def bound_report(
     ascent_steps: int = 100,
     seed: int = 0,
 ) -> NormBoundReport:
-    """Assemble the full bracket report and enforce the sandwich invariant."""
+    """Assemble the full bracket report and enforce the sandwich invariant.
+
+    A bound that overflows raises ``ValueError``; an estimate outside the
+    bracket raises :class:`SandwichViolation`.
+    """
     _check_operator(operator)
     p = _check_p(p)
     report = require_membership(tensor, "B0")
@@ -234,6 +238,9 @@ def bound_report(
         lower, upper = t_norm_bounds(tensor, p, variant)
     else:
         lower, upper = f_norm_bounds(tensor, p, variant)
+    for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")
     estimate, witness = estimate_norm(
         tensor, operator, p, samples=samples, ascent_steps=ascent_steps, seed=seed
     )

@@ -2,12 +2,11 @@
 
 Two real eigenpair kinds are handled.  An H-pair solves
 ``contract(A, x) = value * x**(m-1)`` componentwise; a Z-pair solves
-``contract(A, x) = value * x * (x.x)**((m-2)/2)``.  The searches are
-seeded multistart heuristics (damped Newton, plus a shifted power
-iteration on symmetric input for Z), so they return a subset of the true
-pairs; bound verification is therefore falsification style: every found
-pair must land inside the closed-form bounds computed from the diagonal
-entries alone.
+``contract(A, x) = value * x * (x.x)**((m-2)/2)``.  The searches are seeded
+multistarts of :func:`core.damped_newton` on that equation with ``x.x = 1``
+(for Z on symmetric input, after a shifted power iteration), so they return
+a subset of the true pairs; bound verification is falsification style: every
+found pair must land inside the closed-form bounds from the diagonal alone.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, contract, contraction_jacobian, is_entry_symmetric
+from .core import Tensor, contract, contraction_jacobian, damped_newton, is_entry_symmetric
 from .structure import require_membership
 
 __all__ = [
@@ -34,6 +33,7 @@ ACCEPT_RESIDUAL = 1e-8
 VALUE_DEDUP_TOL = 1e-6
 VECTOR_DEDUP_TOL = 1e-4
 DEFAULT_STARTS = 64
+NEWTON_LIMITS = (80, 1e-12, 1e-10)  # max_iter, tol, min_step of damped_newton
 
 
 @dataclass(frozen=True)
@@ -103,33 +103,6 @@ def eigenvalue_bounds(tensor: Tensor, variant: str = "B") -> EigenBoundReport:
     return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B")
 
 
-def _damped_newton(system, jacobian, z0: np.ndarray, max_iter: int = 80, tol: float = 1e-12):
-    """Generic damped Newton; returns (z, converged)."""
-    z = z0.copy()
-    g = system(z)
-    norm_g = float(np.linalg.norm(g))
-    for _ in range(max_iter):
-        if norm_g <= tol:
-            return z, True
-        jac = jacobian(z)
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        t = 1.0
-        while t > 1e-10:
-            trial = z + t * delta
-            g_trial = system(trial)
-            norm_trial = float(np.linalg.norm(g_trial))
-            if norm_trial < norm_g:
-                z, g, norm_g = trial, g_trial, norm_trial
-                break
-            t *= 0.5
-        else:
-            return z, norm_g <= tol
-    return z, norm_g <= tol
-
-
 def _h_canonical(x: np.ndarray) -> np.ndarray:
     """Rescale to max-norm 1 with the max-attaining component positive."""
     top = int(np.argmax(np.abs(x)))
@@ -166,11 +139,12 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     m, n = tensor.order, tensor.dim
     rng = np.random.default_rng(seed)
 
-    def system(z):
+    def evaluate(z):
         x, lam = z[:n], z[n]
-        return np.append(contract(tensor, x) - lam * x ** (m - 1), 0.5 * (x @ x - 1.0))
+        g = np.append(contract(tensor, x) - lam * x ** (m - 1), 0.5 * (x @ x - 1.0))
+        return z, g, float(np.linalg.norm(g))
 
-    def jacobian(z):
+    def jacobian(z, g):
         x, lam = z[:n], z[n]
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = contraction_jacobian(tensor, x) - lam * (m - 1) * np.diag(x ** (m - 2))
@@ -185,8 +159,8 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
         powers = x0 ** (m - 1)
         denom = float(powers @ powers)
         lam0 = float(powers @ contract(tensor, x0)) / denom if denom > 0 else 0.0
-        z, converged = _damped_newton(system, jacobian, np.append(x0, lam0))
-        if not converged:
+        z, _, merit = damped_newton(evaluate, jacobian, np.append(x0, lam0), *NEWTON_LIMITS)
+        if not merit <= NEWTON_LIMITS[1]:
             continue
         x, lam = z[:n], float(z[n])
         if np.max(np.abs(x)) < 1e-12:
@@ -213,30 +187,6 @@ def _z_canonical(value: float, x: np.ndarray, order: int) -> tuple[float, np.nda
     return value, x
 
 
-def _z_newton(tensor: Tensor, x0: np.ndarray, mu0: float) -> tuple[np.ndarray, float, bool]:
-    m, n = tensor.order, tensor.dim
-
-    def system(z):
-        x, mu = z[:n], z[n]
-        s = float(x @ x) ** ((m - 2) / 2)
-        return np.append(contract(tensor, x) - mu * x * s, 0.5 * (x @ x - 1.0))
-
-    def jacobian(z):
-        x, mu = z[:n], z[n]
-        sq = float(x @ x)
-        s = sq ** ((m - 2) / 2)
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = contraction_jacobian(tensor, x) - mu * (
-            s * np.eye(n) + (m - 2) * sq ** ((m - 4) / 2) * np.outer(x, x)
-        )
-        jac[:n, n] = -x * s
-        jac[n, :n] = x
-        return jac
-
-    z, converged = _damped_newton(system, jacobian, np.append(x0, mu0))
-    return z[:n], float(z[n]), converged
-
-
 def find_z_eigenpairs(
     tensor: Tensor,
     shift: float | str = "auto",
@@ -257,6 +207,24 @@ def find_z_eigenpairs(
     rng = np.random.default_rng(seed)
     symmetric = tensor.symmetric or is_entry_symmetric(tensor)
     alpha = 1.0 + float(np.abs(tensor.entries).sum()) if shift == "auto" else float(shift)
+
+    def evaluate(z):
+        x, mu = z[:n], z[n]
+        s = float(x @ x) ** ((m - 2) / 2)
+        g = np.append(contract(tensor, x) - mu * x * s, 0.5 * (x @ x - 1.0))
+        return z, g, float(np.linalg.norm(g))
+
+    def jacobian(z, g):
+        x, mu = z[:n], z[n]
+        sq = float(x @ x)
+        s = sq ** ((m - 2) / 2)
+        # (m-2) |x|^(m-4) x x^T tends to 0 at x = 0, where the power alone is 1/0 for m < 4.
+        bend = (m - 2) * sq ** ((m - 4) / 2) if sq else 0.0
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = contraction_jacobian(tensor, x) - mu * (s * np.eye(n) + bend * np.outer(x, x))
+        jac[:n, n] = -x * s
+        jac[n, :n] = x
+        return jac
 
     pairs: list[EigenPair] = []
     for start in range(starts):
@@ -283,8 +251,9 @@ def find_z_eigenpairs(
                     stable = 0
                 mu_prev = mu
         mu0 = float(x @ contract(tensor, x))
-        x, mu, converged = _z_newton(tensor, x, mu0)
-        if not converged or float(np.linalg.norm(x)) < 1e-8:
+        z, _, merit = damped_newton(evaluate, jacobian, np.append(x, mu0), *NEWTON_LIMITS)
+        x, mu = z[:n], float(z[n])
+        if not merit <= NEWTON_LIMITS[1] or float(np.linalg.norm(x)) < 1e-8:
             continue
         mu, x = _z_canonical(mu, x, m)
         residual = z_residual(tensor, mu, x)

@@ -128,8 +128,11 @@ def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
 
     The default ``tol = 0`` applies the definitions with exact floating
     comparisons.  A positive tolerance demands ``> tol`` margins for the
-    strict class and allows ``>= -tol`` slack for the non-strict one.
+    strict class and allows ``>= -tol`` slack for the non-strict one.  A
+    negative (or NaN) ``tol`` would loosen both definitions and is rejected.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     profile = row_profile(tensor)
     n, m = tensor.dim, tensor.order
     scale = float(n ** (m - 1))

@@ -1,12 +1,12 @@
 """Tensor complementarity: find x >= 0 with w = q + contract(A, x) >= 0 and x.w = 0.
 
-The solver is a damped semismooth Newton method on the natural residual
-``min(x, w)`` with projection onto the nonnegative orthant, run from a
-small deterministic multistart.  For strict-class tensors the solution set
-is nonempty and bounded, and every nonzero solution obeys closed-form
-lower bounds driven by the positive part of ``-q`` and the diagonal
-entries; this module computes those certificates and verifies them against
-solver output.
+The solver runs :func:`core.damped_newton` on the natural residual
+``min(x, w)`` (semismooth, with projection onto the nonnegative orthant and
+face-recovery restarts) from a small deterministic multistart.  For
+strict-class tensors the solution set is nonempty and bounded, and every
+nonzero solution obeys closed-form lower bounds driven by the positive part
+of ``-q`` and the diagonal entries; this module computes those certificates
+and verifies them against solver output.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, contract, contraction_jacobian, vector_norm, vector_power
+from .core import Tensor, contract, contraction_jacobian, damped_newton, vector_norm, vector_power
 from .structure import require_membership
 
 __all__ = [
@@ -113,53 +113,37 @@ def _face_recovery(instance: TcpInstance, x: np.ndarray):
 
 
 def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
-    """Damped semismooth Newton with projection; stops at stalls."""
+    """Damped semismooth Newton with projection; stops at stalls.  Returns (x, residual)."""
     tensor, q = instance.tensor, instance.q
-    n = tensor.dim
-    x = np.maximum(x0, 0.0)
-    w = q + contract(tensor, x)
-    phi = np.minimum(x, w)
-    res = float(np.max(np.abs(phi)))
-    identity = np.eye(n)
-    for _ in range(max_iter):
-        if res <= tol:
-            break
-        jac_w = contraction_jacobian(tensor, x)
-        active = (x <= w)[:, None]
-        jac = np.where(active, identity, jac_w)
-        try:
-            delta = np.linalg.solve(jac, -phi)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -phi, rcond=None)
-        t = 1.0
-        while t > 1e-12:
-            x_new = np.maximum(x + t * delta, 0.0)
-            w_new = q + contract(tensor, x_new)
-            phi_new = np.minimum(x_new, w_new)
-            res_new = float(np.max(np.abs(phi_new)))
-            if res_new < res:
-                x, w, phi, res = x_new, w_new, phi_new, res_new
-                break
-            t *= 0.5
-        else:
-            break  # blocked; the caller may attempt a face recovery
-    return x, w, res
+    identity = np.eye(tensor.dim)
+
+    def evaluate(x):
+        x = np.maximum(x, 0.0)
+        phi = np.minimum(x, q + contract(tensor, x))
+        return x, phi, float(np.max(np.abs(phi)))
+
+    def jacobian(x, phi):
+        # Rows where min(x, w) picks x (x <= w) differentiate to the identity, the rest to w's.
+        return np.where((phi == x)[:, None], identity, contraction_jacobian(tensor, x))
+
+    x, _, res = damped_newton(evaluate, jacobian, x0, max_iter, tol, 1e-12)
+    return x, res
 
 
 def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
-    """Semismooth Newton from one start, with face-recovery restarts."""
-    x, w, res = _monotone_newton(instance, x0, max_iter, tol)
+    """Semismooth Newton from one start, with face-recovery restarts; returns (x, residual)."""
+    x, res = _monotone_newton(instance, x0, max_iter, tol)
     for _ in range(8):
         if res <= tol:
             break
         restart = _face_recovery(instance, x)
         if restart is None:
             break
-        x_new, w_new, res_new = _monotone_newton(instance, restart, max_iter, tol)
+        x_new, res_new = _monotone_newton(instance, restart, max_iter, tol)
         if res_new >= res:
             break
-        x, w, res = x_new, w_new, res_new
-    return x, w, res
+        x, res = x_new, res_new
+    return x, res
 
 
 def _start_points(instance: TcpInstance, starts: int, seed: int) -> list[np.ndarray]:
@@ -188,14 +172,17 @@ def solve(
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    best: Optional[tuple[np.ndarray, np.ndarray, float]] = None
+    best: Optional[tuple[np.ndarray, float]] = None
     for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
-        x, w, res = _newton_from(instance, x0, max_iter, tol)
+        x, res = _newton_from(instance, x0, max_iter, tol)
         if res <= tol:
-            return TcpOutcome(x=x, w=w, residual=res, converged=True, starts_used=used)
-        if best is None or res < best[2] or (res == best[2] and tuple(x) < tuple(best[0])):
-            best = (x, w, res)
-    return TcpOutcome(x=best[0], w=best[1], residual=best[2], converged=False, starts_used=starts)
+            best = (x, res)
+            break
+        if best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
+            best = (x, res)
+    x, res = best
+    w = instance.q + contract(instance.tensor, x)
+    return TcpOutcome(x=x, w=w, residual=res, converged=res <= tol, starts_used=used)
 
 
 @dataclass(frozen=True)
@@ -294,7 +281,7 @@ def boundedness_probe(
         found: list[np.ndarray] = []
         for _ in range(starts):
             x0 = rng.uniform(0.0, float(radius), size=tensor.dim)
-            x, _, res = _newton_from(instance, x0, DEFAULT_MAX_ITER, tol)
+            x, res = _newton_from(instance, x0, DEFAULT_MAX_ITER, tol)
             if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
                 found.append(x)
         per_radius.append(found)

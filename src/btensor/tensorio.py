@@ -8,8 +8,8 @@ Two on-disk forms are accepted:
   "entries": [[[i1, ..., im], value], ...]}`` with 1-based indices, where
   every position not listed takes ``entries_default``.
 
-Every entry must be a finite number: NaN, infinities and integers beyond
-the float range are rejected.
+Every entry must be a finite JSON number: NaN, infinities, integers beyond
+the float range, strings and booleans are rejected.
 
 Serialization always emits the dense form with a fixed key order, so a
 parse/serialize round trip of a file written here is byte identical.
@@ -67,7 +67,8 @@ def tensor_from_obj(obj: Any) -> Tensor:
 
     if "dense" in obj:
         dense = obj["dense"]
-        if not isinstance(dense, list):
+        # numpy would convert numeric strings and booleans, so check the JSON types first.
+        if not isinstance(dense, list) or not set(map(type, dense)) <= {int, float}:
             raise TensorFormatError("'dense' must be a list of numbers")
         try:
             flat = np.asarray(dense, dtype=float)

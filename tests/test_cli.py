@@ -9,6 +9,7 @@ import pytest
 
 from btensor.cli import main
 from btensor.datasets import example_path
+from btensor.opnorms import SandwichViolation
 from btensor.tensorio import dump_tensor, load_tensor
 from btensor import Tensor
 
@@ -45,6 +46,12 @@ class TestClassifyCommand:
         assert code == 2
         assert not out
         assert "must be finite" in err
+
+    def test_negative_tol_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "classify", EX41, "--tol", "-1")
+        assert code == 2
+        assert not out
+        assert "tol must be >= 0" in err
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "classify", "no-such-file.json")
@@ -111,6 +118,29 @@ class TestBoundsCommand:
         assert code == 2
         assert "even order" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_bound_is_usage_error(self, capsys, tmp_path):
+        big = load_tensor(EX41).array.copy()
+        big[0, 0, 0, 0] = 1e308
+        path = tmp_path / "big.json"
+        dump_tensor(Tensor(big), path)
+        code, out, err = run_cli(
+            capsys, "bounds", str(path), "--op", "T", "--norm", "p", "--p", "2", "--estimate"
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error: general_upper is inf")
+
+    def test_sandwich_violation_is_verification_failure(self, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise SandwichViolation("estimate 2.0 outside [0.0, min(1.0, 1.0)]")
+
+        monkeypatch.setattr("btensor.cli.bound_report", violated)
+        code, out, err = run_cli(capsys, "bounds", EX41, "--op", "T", "--estimate")
+        assert code == 1
+        assert not out
+        assert err.startswith("error: estimate 2.0 outside")
+
 
 class TestEigenCommand:
     def test_verified_pairs(self, capsys):
@@ -130,6 +160,15 @@ class TestEigenCommand:
         assert code == 2
         assert not out
         assert "starts must be >= 1" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_z_zero_iterate_is_not_a_crash(self, capsys, tmp_path):
+        path = tmp_path / "huge_diagonal.json"
+        dump_tensor(Tensor.diagonal_tensor(3, 2, [1e200, 1.0]), path)
+        code, out, err = run_cli(capsys, "eigen", str(path), "--kind", "z", "--starts", "8")
+        assert code == 0
+        assert "Traceback" not in err
+        assert all(p["residual"] <= 1e-8 for p in json.loads(out)["pairs"])
 
     def test_z_kind(self, capsys):
         code, out, _ = run_cli(capsys, "eigen", EX42, "--kind", "z", "--starts", "6", "--seed", "2")

@@ -144,6 +144,14 @@ class TestBoundReport:
         with pytest.raises(ClassificationError):
             bound_report(t, "T", INF)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p,name", [(INF, "b_upper"), (2.0, "general_upper")])
+    def test_overflowing_bound_is_named(self, ex41, p, name):
+        big = ex41.array.copy()
+        big[0, 0, 0, 0] = 1e308
+        with pytest.raises(ValueError, match=f"{name} is inf"):
+            bound_report(Tensor(big), "T", p, samples=4, ascent_steps=2)
+
     def test_to_dict_is_json_friendly(self, ex41):
         report = bound_report(ex41, "T", INF, samples=8, ascent_steps=5, seed=1)
         payload = report.to_dict()

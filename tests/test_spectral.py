@@ -125,6 +125,14 @@ class TestFindZ:
         manual = find_z_eigenpairs(ex41, shift=1.0 + float(np.abs(ex41.entries).sum()), starts=8, seed=9)
         assert [p.value for p in auto] == [p.value for p in manual]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_zero_iterate_start_is_dropped(self, order):
+        # The power iteration's norm overflows, so every start reaches x = 0,
+        # where the Jacobian's |x|^(m-4) factor is a division by zero for m < 4.
+        pairs = find_z_eigenpairs(Tensor.diagonal_tensor(order, 2, [1e200, 1.0]), starts=8, seed=0)
+        assert all(p.residual <= 1e-8 for p in pairs)
+
     @pytest.mark.parametrize("search", [find_h_eigenpairs, find_z_eigenpairs])
     @pytest.mark.parametrize("starts", [0, -3])
     def test_starts_below_one_rejected(self, ex41, search, starts):

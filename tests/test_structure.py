@@ -49,6 +49,12 @@ class TestClassify:
     def test_zero_tensor_is_nonstrict(self):
         assert classify(Tensor.zeros(3, 3)).verdict == "B0"
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # A negative margin would loosen both definitions: the zero tensor would be strict.
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify(Tensor.zeros(3, 2), tol=tol)
+
     def test_negative_diagonal_breaks_membership(self):
         t = Tensor.diagonal_tensor(3, 3, [1.0, -1.0, 1.0])
         report = classify(t)

@@ -87,13 +87,14 @@ BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
         ('{"order": 2, "dim": 1, "dense": [-Infinity]}', "'dense' entries must be finite"),
         ('{"order": 2, "dim": 1, "dense": [1e400]}', "'dense' entries must be finite"),
         ('{"order": 2, "dim": 1, "dense": [%s]}' % BIG_INT, "'dense' entries must be finite"),
+        ('{"order": 2, "dim": 1, "dense": ["3"]}', "'dense' must be a list of numbers"),
         ('{"order": 2, "dim": 1, "entries": [[[1, 1], NaN]]}', "entry 0: value must be a finite"),
         ('{"order": 2, "dim": 1, "entries": [[[1, 1], Infinity]]}', "entry 0: value must be a finite"),
         ('{"order": 2, "dim": 1, "entries": [[[1, 1], %s]]}' % BIG_INT, "entry 0: value must be a finite"),
         ('{"order": 2, "dim": 1, "entries_default": NaN, "entries": []}', "'entries_default' must be a finite"),
         ('{"order": 2, "dim": 1, "entries_default": -Infinity, "entries": []}', "'entries_default' must be a finite"),
     ],
-    ids=["dense-nan", "dense-neg-inf", "dense-overflow", "dense-big-int", "entry-nan", "entry-inf",
+    ids=["dense-nan", "dense-neg-inf", "dense-overflow", "dense-big-int", "dense-string", "entry-nan", "entry-inf",
          "entry-big-int", "default-nan", "default-neg-inf"],
 )
 def test_non_finite_entries_rejected(text, message):
