@@ -23,6 +23,7 @@ from .datasets import load_example
 from .opnorms import (
     SandwichViolation,
     bound_report,
+    closed_form_bounds,
     estimate_norm,
     f_norm_bounds,
     general_upper_bound,
@@ -133,15 +134,13 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     else:
         verdict = classify(tensor).verdict
         variant = "B" if verdict == "B" else "B0"
-        lower, upper = (
-            t_norm_bounds(tensor, p, variant) if args.op == "T" else f_norm_bounds(tensor, p, variant)
-        )
+        general, lower, upper = closed_form_bounds(tensor, args.op, p, variant)
         payload = {
             "operator": args.op,
             "norm": "inf" if p == math.inf else p,
             "variant": variant,
             "strict": variant == "B",
-            "general_upper": general_upper_bound(tensor, args.op, p),
+            "general_upper": general,
             "b_lower": lower,
             "b_upper": upper,
             "empirical_estimate": None,

@@ -3,15 +3,18 @@
 A tensor here is an order-m, dimension-n real hypermatrix stored as a dense
 ``(n, ..., n)`` float array.  One kernel, a chain of matrix-vector products
 contracting the last index first, gives :func:`contract` (one vector) and
-:func:`contract_batch` (a ``(k, n)`` batch as a leading axis, any order).
-On it rest the two degree-one homogeneous maps ``T`` (:func:`scaled_map`)
-and ``F`` (:func:`root_map`), each taking one vector or a batch.
-:func:`damped_newton` is the one Newton driver; the H- and Z-eigenpair
-searches and the complementarity solver supply only a residual and its
+:func:`contract_batch` (a ``(k, n)`` batch as a leading axis, any order); a
+batch row equals the single-vector result bit for bit.  On it rest the two
+degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
+(:func:`root_map`); they and :func:`contraction_jacobian` each take one
+vector or a batch.  :func:`damped_newton` is the one Newton driver: it
+advances a stack of starts together, and the H- and Z-eigenpair searches
+and the complementarity solver supply only a batched residual and its
 Jacobian.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +38,9 @@ __all__ = [
 # contract_batch takes as many rows at a time as keep its first intermediate
 # (rows * n**(m-1) floats) within this cap, and at least one.
 _BATCH_FLOATS = 1 << 16
+# damped_newton's line search scores at most this many trial points per
+# evaluate call, which bounds its memory on a wide stack.
+_TRIAL_POINTS = 256
 
 
 class DimensionMismatch(ValueError):
@@ -125,6 +131,16 @@ def _as_vector(tensor: Tensor, x) -> np.ndarray:
     return v
 
 
+def _as_rows(tensor: Tensor, x) -> np.ndarray:
+    """A vector (n,) as a one-row batch; a (k, n) batch as it is."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 1:
+        return _as_vector(tensor, v)[None]
+    if v.ndim != 2 or v.shape[1] != tensor.dim:
+        raise DimensionMismatch(f"expected shape (k, {tensor.dim}), got {v.shape}")
+    return v
+
+
 def contract(tensor: Tensor, x) -> np.ndarray:
     """Contract ``x`` into every index but the first.
 
@@ -132,9 +148,10 @@ def contract(tensor: Tensor, x) -> np.ndarray:
     indices of ``a[i, i2, ..., im] * x[i2] * ... * x[im]``.
     """
     v = _as_vector(tensor, x)
-    out = tensor.array
-    for _ in range(tensor.order - 1):
-        out = out @ v
+    n = tensor.dim
+    out = tensor.array.reshape(-1, n) @ v
+    for _ in range(tensor.order - 2):
+        out = out.reshape(-1, n) @ v
     return out
 
 
@@ -157,48 +174,102 @@ def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
 
 
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
-    """Derivative matrix of ``x -> contract(tensor, x)``.
+    """Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
 
     Uses the exact multilinear rule: one term per contracted index slot, so
-    no symmetry of the entries is assumed.
+    no symmetry of the entries is assumed.  A batch row is bit for bit the
+    single-vector result.
     """
-    v = _as_vector(tensor, x)
-    m, n = tensor.order, tensor.dim
-    jac = np.zeros((n, n))
+    pts = _as_rows(tensor, x)
+    m, n, k = tensor.order, tensor.dim, len(pts)
+    # Each row as an (n, 1) column, behind as many unit axes as the partial contraction has index axes.
+    cols = [pts.reshape((k,) + (1,) * ones + (n, 1)) for ones in range(m - 2, 0, -1)]
+    jac = np.zeros((k, n, n))
     for slot in range(1, m):
-        part = np.moveaxis(tensor.array, slot, 1)
-        for _ in range(m - 2):
-            part = part @ v
+        # np.moveaxis(tensor.array, slot, 1), with a leading batch axis.
+        part = tensor.array.transpose([0, slot, *range(1, slot), *range(slot + 1, m)])[None]
+        for col in cols:
+            part = (part @ col)[..., 0]
         jac += part
-    return jac
+    return jac.reshape(np.shape(x) + (n,))
+
+
+@functools.lru_cache(maxsize=16)
+def _shorter_lengths(min_step: float) -> np.ndarray:
+    """The line-search lengths after the full step, 1/2, 1/4, ... above ``min_step``, as a read-only column."""
+    lengths = []
+    t = 0.5
+    while t > min_step:
+        lengths.append(t)
+        t *= 0.5
+    column = np.array(lengths).reshape(-1, 1)
+    column.flags.writeable = False
+    return column
 
 
 def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: float):
-    """Newton steps with a halving line search; returns the last accepted ``(z, g, merit)``.
+    """Newton steps with a halving line search on a (k, d) stack of starts.
 
-    ``evaluate(z)`` gives the point it accepts for ``z`` (it may project it), the
-    residual g there and its merit; ``jacobian(z, g)`` is g's derivative at z.  A step
-    takes the first length 1, 1/2, ... above ``min_step`` that lowers the merit; the
-    loop ends at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
+    ``evaluate(z)`` takes a (j, d) stack and gives, row by row, the point it
+    accepts (it may project it), the residual there and its merit, shaped
+    (j, d), (j, d) and (j,); ``jacobian(z, g)`` gives the (j, d, d) residual
+    derivatives.  Every row steps as if it ran alone: it takes the first
+    length 1, 1/2, ... above ``min_step`` that lowers its merit, and it stops
+    at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
+    A round makes one stacked solve (per row, ``lstsq`` where ``solve`` finds
+    the matrix singular) and one ``evaluate`` at length 1 for the active rows;
+    the rows whose full step failed then score all their shorter lengths at
+    once, in calls of at most ``_TRIAL_POINTS`` points.  Returns the last
+    accepted ``(z, g, merit)`` stacks.
     """
-    z, g, merit = evaluate(z0)
+    shorter = _shorter_lengths(min_step)
+    z, g, merit = evaluate(np.array(z0, dtype=float))
+    # The rows still stepping, by id, and their states; a state goes back to z, g and
+    # merit when its row stops.  A NaN merit stops at once, as no length could lower it,
+    # and no row steps when even the full length is not above min_step.
+    rows, zr, gr, mr = np.arange(len(z)), z, g, merit
+    going = (merit > tol) & (min_step < 1.0)
     for _ in range(max_iter):
-        if merit <= tol:
+        moving = np.count_nonzero(going)
+        if not moving:
             break
-        jac = jacobian(z, g)
+        if moving < len(rows):
+            z[rows], g[rows], merit[rows] = zr, gr, mr
+            rows, zr, gr, mr = rows[going], zr[going], gr[going], mr[going]
+        jac = jacobian(zr, gr)
         try:
-            delta = np.linalg.solve(jac, -g)
+            delta = np.linalg.solve(jac, -gr[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        t = 1.0
-        while t > min_step:
-            trial = evaluate(z + t * delta)
-            if trial[2] < merit:
-                z, g, merit = trial
-                break
-            t *= 0.5
-        else:
-            break
+            delta = np.empty_like(gr)
+            for r in range(len(rows)):
+                try:
+                    delta[r] = np.linalg.solve(jac[r], -gr[r])
+                except np.linalg.LinAlgError:
+                    delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0]
+        tz, tg, tm = evaluate(zr + delta)
+        helped = tm < mr
+        if np.count_nonzero(helped) < len(rows):
+            # Every shorter length of a failed row is scored at once, for a group of rows per
+            # call; the row takes the first length that helps.
+            failed = np.flatnonzero(~helped)
+            group = max(1, _TRIAL_POINTS // max(1, len(shorter)))
+            for lo in range(0, len(failed) if len(shorter) else 0, group):
+                part = failed[lo : lo + group]
+                trial = zr[part, None] + shorter * delta[part, None]
+                sz, sg, sm = evaluate(trial.reshape(-1, z.shape[1]))
+                helps = sm.reshape(len(part), -1) < mr[part, None]
+                found = helps.any(axis=1)
+                pick = (helps.argmax(axis=1) + len(shorter) * np.arange(len(part)))[found]
+                hit = part[found]
+                tz[hit], tg[hit], tm[hit] = sz[pick], sg[pick], sm[pick]
+                helped[hit] = True
+            # A row that no length helps keeps its point and stops.
+            tz = np.where(helped[:, None], tz, zr)
+            tg = np.where(helped[:, None], tg, gr)
+            tm = np.where(helped, tm, mr)
+        zr, gr, mr = tz, tg, tm
+        going = helped & (mr > tol)
+    z[rows], g[rows], merit[rows] = zr, gr, mr
     return z, g, merit
 
 
@@ -236,10 +307,6 @@ def vector_norm(x, p: float = 2.0) -> float:
     return float(np.linalg.norm(v, ord=p))
 
 
-def _as_rows(tensor: Tensor, x) -> np.ndarray:
-    """A vector (n,) as a one-row batch; a (k, n) batch as it is."""
-    v = np.asarray(x, dtype=float)
-    return _as_vector(tensor, v)[None] if v.ndim == 1 else v
 
 
 def scaled_map(tensor: Tensor, x) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "general_upper_bound",
     "t_norm_bounds",
     "f_norm_bounds",
+    "closed_form_bounds",
     "estimate_norm",
     "bound_report",
 ]
@@ -126,6 +127,26 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     if variant == "B":
         lower = max(lower, _uniform_witness_value(tensor, "F", p))
     return float(lower), float(upper)
+
+
+def closed_form_bounds(
+    tensor: Tensor, operator: str, p: float = math.inf, variant: str = "B"
+) -> tuple[float, float, float]:
+    """``(general_upper, b_lower, b_upper)`` of a ``variant`` member.
+
+    Entries that overflow a closed form raise ``ValueError`` naming the first
+    bound that is not finite; numpy's overflow warnings are silenced, as the
+    error says it.
+    """
+    _check_operator(operator)
+    bracket = t_norm_bounds if operator == "T" else f_norm_bounds
+    with np.errstate(over="ignore"):
+        general = general_upper_bound(tensor, operator, p)
+        lower, upper = bracket(tensor, p, variant)
+    for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")
+    return general, lower, upper
 
 
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
@@ -233,14 +254,7 @@ def bound_report(
     p = _check_p(p)
     report = require_membership(tensor, "B0")
     variant = report.verdict  # "B" or "B0"
-    general = general_upper_bound(tensor, operator, p)
-    if operator == "T":
-        lower, upper = t_norm_bounds(tensor, p, variant)
-    else:
-        lower, upper = f_norm_bounds(tensor, p, variant)
-    for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")
+    general, lower, upper = closed_form_bounds(tensor, operator, p, variant)
     estimate, witness = estimate_norm(
         tensor, operator, p, samples=samples, ascent_steps=ascent_steps, seed=seed
     )

@@ -7,6 +7,9 @@ multistarts of :func:`core.damped_newton` on that equation with ``x.x = 1``
 (for Z on symmetric input, after a shifted power iteration), so they return
 a subset of the true pairs; bound verification is falsification style: every
 found pair must land inside the closed-form bounds from the diagonal alone.
+All starts of a search advance together as one stack, each exactly as it
+would alone; the found pairs are then filtered and deduplicated in start
+order.
 """
 from __future__ import annotations
 
@@ -15,7 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, contract, contraction_jacobian, damped_newton, is_entry_symmetric
+from .core import (
+    Tensor,
+    contract,
+    contract_batch,
+    contraction_jacobian,
+    damped_newton,
+    is_entry_symmetric,
+)
 from .structure import require_membership
 
 __all__ = [
@@ -128,41 +138,63 @@ def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
     return kept
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, d) stacks, bit for bit the 1-D ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Python's ``float ** exponent`` per entry; numpy's array power can differ in the last bit."""
+    return np.array([v**exponent for v in values.tolist()])
+
+
+def _unit_starts(rng: np.random.Generator, starts: int, n: int) -> np.ndarray:
+    """``starts`` standard normal draws of length n in draw order, each scaled to unit 2-norm."""
+    x = np.array([rng.standard_normal(n) for _ in range(starts)])
+    x /= np.sqrt(_row_dot(x, x))[:, None]
+    return x
+
+
 def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 0) -> list[EigenPair]:
     """Multistart damped Newton for H-pairs, deduplicated and sorted.
 
-    Non-convergent starts are dropped; every returned pair re-checks its
-    defining equation to within ``ACCEPT_RESIDUAL`` at the normalized vector.
+    All starts advance together as one stack.  Non-convergent starts are
+    dropped; every returned pair re-checks its defining equation to within
+    ``ACCEPT_RESIDUAL`` at the normalized vector.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
-    rng = np.random.default_rng(seed)
+    diag = np.arange(n)
 
     def evaluate(z):
-        x, lam = z[:n], z[n]
-        g = np.append(contract(tensor, x) - lam * x ** (m - 1), 0.5 * (x @ x - 1.0))
-        return z, g, float(np.linalg.norm(g))
+        x, lam = z[:, :n], z[:, n]
+        g = np.empty_like(z)
+        g[:, :n] = contract_batch(tensor, x) - lam[:, None] * x ** (m - 1)
+        g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
+        return z, g, np.sqrt(_row_dot(g, g))
 
     def jacobian(z, g):
-        x, lam = z[:n], z[n]
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = contraction_jacobian(tensor, x) - lam * (m - 1) * np.diag(x ** (m - 2))
-        jac[:n, n] = -(x ** (m - 1))
-        jac[n, :n] = x
+        x, lam = z[:, :n], z[:, n]
+        powers = np.zeros((len(z), n, n))
+        powers[:, diag, diag] = x ** (m - 2)
+        jac = np.zeros((len(z), n + 1, n + 1))
+        jac[:, :n, :n] = contraction_jacobian(tensor, x) - (lam * (m - 1))[:, None, None] * powers
+        jac[:, :n, n] = -(x ** (m - 1))
+        jac[:, n, :n] = x
         return jac
 
+    x0 = _unit_starts(np.random.default_rng(seed), starts, n)
+    powers = x0 ** (m - 1)
+    denom = _row_dot(powers, powers)
+    lam0 = np.zeros(starts)
+    np.divide(_row_dot(powers, contract_batch(tensor, x0)), denom, out=lam0, where=denom > 0)
+    z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x0, lam0]), *NEWTON_LIMITS)
     pairs: list[EigenPair] = []
-    for _ in range(starts):
-        x0 = rng.standard_normal(n)
-        x0 /= np.linalg.norm(x0)
-        powers = x0 ** (m - 1)
-        denom = float(powers @ powers)
-        lam0 = float(powers @ contract(tensor, x0)) / denom if denom > 0 else 0.0
-        z, _, merit = damped_newton(evaluate, jacobian, np.append(x0, lam0), *NEWTON_LIMITS)
-        if not merit <= NEWTON_LIMITS[1]:
+    for row, value in zip(z, merit):
+        if not value <= NEWTON_LIMITS[1]:
             continue
-        x, lam = z[:n], float(z[n])
+        x, lam = row[:n], float(row[n])
         if np.max(np.abs(x)) < 1e-12:
             continue
         x = _h_canonical(x)
@@ -204,62 +236,81 @@ def find_z_eigenpairs(
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
-    rng = np.random.default_rng(seed)
     symmetric = tensor.symmetric or is_entry_symmetric(tensor)
     alpha = 1.0 + float(np.abs(tensor.entries).sum()) if shift == "auto" else float(shift)
 
     def evaluate(z):
-        x, mu = z[:n], z[n]
-        s = float(x @ x) ** ((m - 2) / 2)
-        g = np.append(contract(tensor, x) - mu * x * s, 0.5 * (x @ x - 1.0))
-        return z, g, float(np.linalg.norm(g))
+        x, mu = z[:, :n], z[:, n]
+        sq = _row_dot(x, x)
+        s = _row_power(sq, (m - 2) / 2)
+        g = np.empty_like(z)
+        g[:, :n] = contract_batch(tensor, x) - mu[:, None] * x * s[:, None]
+        g[:, n] = 0.5 * (sq - 1.0)
+        return z, g, np.sqrt(_row_dot(g, g))
 
     def jacobian(z, g):
-        x, mu = z[:n], z[n]
-        sq = float(x @ x)
-        s = sq ** ((m - 2) / 2)
+        x, mu = z[:, :n], z[:, n]
+        sq = _row_dot(x, x)
+        s = _row_power(sq, (m - 2) / 2)[:, None, None]
         # (m-2) |x|^(m-4) x x^T tends to 0 at x = 0, where the power alone is 1/0 for m < 4.
-        bend = (m - 2) * sq ** ((m - 4) / 2) if sq else 0.0
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = contraction_jacobian(tensor, x) - mu * (s * np.eye(n) + bend * np.outer(x, x))
-        jac[:n, n] = -x * s
-        jac[n, :n] = x
+        bend = np.array([(m - 2) * v ** ((m - 4) / 2) if v else 0.0 for v in sq.tolist()])[:, None, None]
+        outer = x[:, :, None] * x[:, None, :]
+        jac = np.zeros((len(z), n + 1, n + 1))
+        jac[:, :n, :n] = contraction_jacobian(tensor, x) - mu[:, None, None] * (s * np.eye(n) + bend * outer)
+        jac[:, :n, n] = -x * s[:, :, 0]
+        jac[:, n, :n] = x
         return jac
 
+    x = _unit_starts(np.random.default_rng(seed), starts, n)
+    values = contract_batch(tensor, x)
+    if symmetric:
+        x, values = _shifted_power_iteration(tensor, x, values, alpha)
+    mu0 = _row_dot(x, values)
+    z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x, mu0]), *NEWTON_LIMITS)
     pairs: list[EigenPair] = []
-    for start in range(starts):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        if symmetric:
-            # Ascend on alternating starts, descend on the rest, so pairs at
-            # both ends of the spectrum are reachable.
-            direction = 1.0 if start % 2 == 0 else -1.0
-            mu_prev = None
-            stable = 0
-            for _ in range(10_000):
-                y = direction * contract(tensor, x) + alpha * x
-                norm_y = float(np.linalg.norm(y))
-                if norm_y == 0:
-                    break
-                x = y / norm_y
-                mu = float(x @ contract(tensor, x))
-                if mu_prev is not None and abs(mu - mu_prev) < 1e-12:
-                    stable += 1
-                    if stable >= 5:
-                        break
-                else:
-                    stable = 0
-                mu_prev = mu
-        mu0 = float(x @ contract(tensor, x))
-        z, _, merit = damped_newton(evaluate, jacobian, np.append(x, mu0), *NEWTON_LIMITS)
-        x, mu = z[:n], float(z[n])
-        if not merit <= NEWTON_LIMITS[1] or float(np.linalg.norm(x)) < 1e-8:
+    for row, value in zip(z, merit):
+        x, mu = row[:n], float(row[n])
+        if not value <= NEWTON_LIMITS[1] or float(np.linalg.norm(x)) < 1e-8:
             continue
         mu, x = _z_canonical(mu, x, m)
         residual = z_residual(tensor, mu, x)
         if residual <= ACCEPT_RESIDUAL:
             pairs.append(EigenPair(kind="Z", value=mu, vector=x, residual=residual))
     return _dedup_and_sort(pairs)
+
+
+def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray, alpha: float):
+    """SS-HOPM (Kolda & Mayo 2011) on a stack of unit starts whose contractions are ``values``.
+
+    Even-indexed starts ascend and odd-indexed ones descend, so pairs at both
+    ends of the spectrum are reachable.  A start stops when its iterate
+    update is zero or its value has moved by less than 1e-12 on five rounds
+    in a row, and after 10 000 rounds at most; one whose update or its norm
+    is not finite is dropped.  Returns the iterates and their contractions
+    of the kept starts, in start order.
+    """
+    x, values = x.copy(), values.copy()
+    direction = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)[:, None]
+    mu_prev = np.full(len(x), np.nan)
+    stable = np.zeros(len(x), dtype=int)
+    running = np.arange(len(x))
+    dropped = np.zeros(len(x), dtype=bool)
+    for _ in range(10_000):
+        if not running.size:
+            break
+        y = direction[running] * values[running] + alpha * x[running]
+        norm_y = np.sqrt(_row_dot(y, y))
+        finite = np.isfinite(norm_y)  # false also where y is not finite
+        dropped[running[~finite]] = True
+        moving = finite & (norm_y != 0)
+        running, y, norm_y = running[moving], y[moving], norm_y[moving]
+        x[running] = y / norm_y[:, None]
+        values[running] = contract_batch(tensor, x[running])
+        mu = _row_dot(x[running], values[running])
+        stable[running] = np.where(np.abs(mu - mu_prev[running]) < 1e-12, stable[running] + 1, 0)
+        mu_prev[running] = mu
+        running = running[stable[running] < 5]
+    return x[~dropped], values[~dropped]
 
 
 def verify_eigen_bounds(tensor: Tensor, pairs: list[EigenPair], variant: str = "B") -> EigenBoundReport:

@@ -2,11 +2,14 @@
 
 The solver runs :func:`core.damped_newton` on the natural residual
 ``min(x, w)`` (semismooth, with projection onto the nonnegative orthant and
-face-recovery restarts) from a small deterministic multistart.  For
-strict-class tensors the solution set is nonempty and bounded, and every
-nonzero solution obeys closed-form lower bounds driven by the positive part
-of ``-q`` and the diagonal entries; this module computes those certificates
-and verifies them against solver output.
+face-recovery restarts) from a small deterministic multistart.  ``solve``
+tries its starts one at a time, as one-row stacks, and keeps the first that
+converges; the boundedness probe runs each radius's starts as one stack and
+then recovers faces start by start.  For strict-class tensors the solution
+set is nonempty and bounded, and every nonzero solution obeys closed-form
+lower bounds driven by the positive part of ``-q`` and the diagonal entries;
+this module computes those certificates and verifies them against solver
+output.
 """
 from __future__ import annotations
 
@@ -17,7 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, contract, contraction_jacobian, damped_newton, vector_norm, vector_power
+from .core import (
+    Tensor,
+    contract,
+    contract_batch,
+    contraction_jacobian,
+    damped_newton,
+    vector_norm,
+    vector_power,
+)
 from .structure import require_membership
 
 __all__ = [
@@ -113,48 +124,58 @@ def _face_recovery(instance: TcpInstance, x: np.ndarray):
 
 
 def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
-    """Damped semismooth Newton with projection; stops at stalls.  Returns (x, residual)."""
+    """Damped semismooth Newton with projection on a (k, n) stack of starts; stops at stalls.
+
+    Returns the (k, n) points and their (k,) residuals.
+    """
     tensor, q = instance.tensor, instance.q
     identity = np.eye(tensor.dim)
 
     def evaluate(x):
         x = np.maximum(x, 0.0)
-        phi = np.minimum(x, q + contract(tensor, x))
-        return x, phi, float(np.max(np.abs(phi)))
+        phi = np.minimum(x, q + contract_batch(tensor, x))
+        return x, phi, np.abs(phi).max(axis=1)
 
     def jacobian(x, phi):
         # Rows where min(x, w) picks x (x <= w) differentiate to the identity, the rest to w's.
-        return np.where((phi == x)[:, None], identity, contraction_jacobian(tensor, x))
+        return np.where((phi == x)[:, :, None], identity, contraction_jacobian(tensor, x))
 
     x, _, res = damped_newton(evaluate, jacobian, x0, max_iter, tol, 1e-12)
     return x, res
 
 
 def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
-    """Semismooth Newton from one start, with face-recovery restarts; returns (x, residual)."""
-    x, res = _monotone_newton(instance, x0, max_iter, tol)
-    for _ in range(8):
-        if res <= tol:
-            break
-        restart = _face_recovery(instance, x)
-        if restart is None:
-            break
-        x_new, res_new = _monotone_newton(instance, restart, max_iter, tol)
-        if res_new >= res:
-            break
-        x, res = x_new, res_new
-    return x, res
+    """Semismooth Newton from a (k, n) stack of starts; returns one (x, residual) per start.
+
+    One monotone pass advances all starts together; face-recovery restarts
+    then follow start by start.
+    """
+    results = []
+    for x, res in zip(*_monotone_newton(instance, x0, max_iter, tol)):
+        res = float(res)
+        for _ in range(8):
+            if res <= tol:
+                break
+            restart = _face_recovery(instance, x)
+            if restart is None:
+                break
+            [x_new], [res_new] = _monotone_newton(instance, restart[None], max_iter, tol)
+            if res_new >= res:
+                break
+            x, res = x_new, float(res_new)
+        results.append((x, res))
+    return results
 
 
-def _start_points(instance: TcpInstance, starts: int, seed: int) -> list[np.ndarray]:
+def _start_points(instance: TcpInstance, starts: int, seed: int):
+    """The starts, made as they are asked for: 0.5, 1 and 2 times the base point, then seeded draws."""
     tensor, q = instance.tensor, instance.q
     base = vector_power(np.maximum(-q, 0.0), 1.0 / (tensor.order - 1))
-    points = [0.5 * base, base, 2.0 * base]
+    yield from [0.5 * base, base, 2.0 * base][:starts]
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(base.max(initial=0.0))
-    while len(points) < starts:
-        points.append(rng.uniform(0.0, scale, size=tensor.dim))
-    return points[:starts]
+    for _ in range(starts - 3):
+        yield rng.uniform(0.0, scale, size=tensor.dim)
 
 
 def solve(
@@ -174,7 +195,7 @@ def solve(
         raise ValueError(f"starts must be >= 1, got {starts}")
     best: Optional[tuple[np.ndarray, float]] = None
     for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
-        x, res = _newton_from(instance, x0, max_iter, tol)
+        [(x, res)] = _newton_from(instance, x0[None], max_iter, tol)
         if res <= tol:
             best = (x, res)
             break
@@ -279,9 +300,8 @@ def boundedness_probe(
     per_radius: list[list[np.ndarray]] = []
     for radius in radius_schedule:
         found: list[np.ndarray] = []
-        for _ in range(starts):
-            x0 = rng.uniform(0.0, float(radius), size=tensor.dim)
-            x, res = _newton_from(instance, x0, DEFAULT_MAX_ITER, tol)
+        x0 = np.array([rng.uniform(0.0, float(radius), size=tensor.dim) for _ in range(starts)])
+        for x, res in _newton_from(instance, x0, DEFAULT_MAX_ITER, tol):
             if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
                 found.append(x)
         per_radius.append(found)

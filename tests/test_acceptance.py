@@ -176,7 +176,7 @@ def test_criterion_5_eigen_bounds():
             if float(np.linalg.norm(defect)) > 1e-8 or not abs(pair.value) < bounds.z_bound:
                 failures += 1
     elapsed = time.perf_counter() - started
-    ok = failures == 0 and pair_count > 0
+    ok = failures == 0 and pair_count > 0 and elapsed < 60.0
     report(5, ok, f"100 tensors, {pair_count} pairs re-verified, failures={failures}, {elapsed:.1f}s")
 
 

@@ -131,6 +131,18 @@ class TestBoundsCommand:
         assert not out
         assert err.startswith("error: general_upper is inf")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("estimate", [[], ["--estimate"]])
+    def test_overflowing_bound_is_named_without_warnings(self, capsys, tmp_path, estimate):
+        big = load_tensor(EX41).array.copy()
+        big[1, 1, 1, 1] = 1e308
+        path = tmp_path / "big.json"
+        dump_tensor(Tensor(big), path)
+        code, out, err = run_cli(capsys, "bounds", str(path), "--op", "T", *estimate)
+        assert code == 2
+        assert not out
+        assert err == "error: b_upper is inf: the entries overflow the closed-form bound\n"
+
     def test_sandwich_violation_is_verification_failure(self, capsys, monkeypatch):
         def violated(*args, **kwargs):
             raise SandwichViolation("estimate 2.0 outside [0.0, min(1.0, 1.0)]")

@@ -20,7 +20,8 @@ from btensor import (
     vector_norm,
     vector_power,
 )
-from btensor.core import _BATCH_FLOATS
+from btensor import core
+from btensor.core import _BATCH_FLOATS, damped_newton
 from btensor.structure import random_tensor, simplex_lattice
 
 from oracles import naive_contract, naive_is_symmetric
@@ -123,7 +124,7 @@ class TestContract:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
     def test_batch_matches_single(self, rng):
-        for order, dim in [(2, 5), (3, 1), (3, 4), (4, 3), (6, 3)]:
+        for order, dim in [(2, 5), (3, 1), (3, 4), (4, 3), (6, 3), (3, 9), (4, 10), (3, 11)]:
             tensor = random_tensor(order, dim, rng)
             pts = rng.uniform(-1.0, 1.0, size=(11, dim))
             batched = contract_batch(tensor, pts)
@@ -157,6 +158,114 @@ class TestContract:
             bump[j] = h
             column = (contract(tensor, x + bump) - contract(tensor, x - bump)) / (2 * h)
             np.testing.assert_allclose(jac[:, j], column, rtol=1e-5, atol=1e-6)
+
+    def test_jacobian_batch_rows_match_single_vectors(self, rng):
+        for order in range(2, 7):
+            for dim in range(1, 10):
+                tensor = random_tensor(order, dim, rng)
+                pts = rng.uniform(-1.0, 1.0, size=(3, dim))
+                batched = contraction_jacobian(tensor, pts)
+                assert batched.shape == (3, dim, dim)
+                for row, point in zip(batched, pts):
+                    single = contraction_jacobian(tensor, point)
+                    assert single.shape == (dim, dim)
+                    assert np.array_equal(row, single), (order, dim)
+
+    def test_jacobian_empty_batch(self, ex41):
+        assert contraction_jacobian(ex41, np.zeros((0, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 3), ()])
+    def test_jacobian_rejects_wrong_shapes(self, ex41, shape):
+        with pytest.raises(DimensionMismatch):
+            contraction_jacobian(ex41, np.ones(shape))
+
+
+def _hexes(*arrays):
+    return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
+
+
+class TestDampedNewton:
+    """The stacked driver on g(z) = (z0**2 + z1, z1**2 - 1), with roots (+-1, -1).
+
+    On z1 = 1 the merit is at least 1 and is smallest at z0 = 0; at z0 = 0 the
+    Jacobian [[2 z0, 1], [0, 2 z1]] is singular.
+    """
+
+    LIMITS = (40, 1e-12, 1e-10)
+    STARTS = np.array([
+        [1.0, -1.0],  # a root: converged at z0
+        [0.0, -2.0],  # singular Jacobian at every step: the lstsq fallback
+        [np.nan, 1.0],  # NaN merit: no length helps
+        [1e-9, 1.0],  # merit 1.0 at its floor: every length raises it
+        [2.0, -3.0],
+        [-0.5, -0.7],
+        [0.8, -1.5],
+    ])
+
+    @staticmethod
+    def evaluate(z):
+        g = np.column_stack([z[:, 0] ** 2 + z[:, 1], z[:, 1] ** 2 - 1.0])
+        return z, g, np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+
+    @staticmethod
+    def jacobian(z, g):
+        jac = np.zeros((len(z), 2, 2))
+        jac[:, 0, 0] = 2.0 * z[:, 0]
+        jac[:, 0, 1] = 1.0
+        jac[:, 1, 1] = 2.0 * z[:, 1]
+        return jac
+
+    @pytest.mark.parametrize("trial_points", [1, 100, core._TRIAL_POINTS])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 40])
+    def test_stack_rows_equal_rows_run_alone(self, monkeypatch, max_iter, trial_points):
+        monkeypatch.setattr(core, "_TRIAL_POINTS", trial_points)  # rows per line-search call: 1, 3, 7
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
+        limits = (max_iter,) + self.LIMITS[1:]
+        z, g, merit = damped_newton(self.evaluate, self.jacobian, self.STARTS, *limits)
+        assert lstsq_calls
+        for k, start in enumerate(self.STARTS):
+            alone = damped_newton(self.evaluate, self.jacobian, start[None], *limits)
+            assert _hexes(z[k], g[k], merit[k]) == _hexes(*alone), k
+
+    def test_row_outcomes(self):
+        z, g, merit = damped_newton(self.evaluate, self.jacobian, self.STARTS, *self.LIMITS)
+        assert merit[0] == 0.0 and np.array_equal(z[0], self.STARTS[0])
+        assert z[1, 0] == 0.0 and merit[1] > 0.1  # stuck on the singular line z0 = 0
+        assert np.isnan(merit[2])
+        assert merit[3] == 1.0 and np.array_equal(z[3], self.STARTS[3])
+        assert all(merit[k] <= self.LIMITS[1] for k in (4, 5, 6))
+        np.testing.assert_allclose(np.abs(z[4:]), 1.0, rtol=1e-12)
+
+    def test_equal_merit_is_no_progress(self):
+        # Projected onto z >= 0, the step from 0 along -1 lands back on 0 at every length.
+        calls = []
+
+        def evaluate(z):
+            calls.append(len(z))
+            z = np.maximum(z, 0.0)
+            return z, z + 1.0, (z + 1.0)[:, 0]
+
+        z, g, merit = damped_newton(evaluate, lambda z, g: np.ones((len(z), 1, 1)), np.zeros((1, 1)), *self.LIMITS)
+        assert merit[0] == 1.0 and z[0, 0] == 0.0
+        assert calls == [1, 1, 33]  # the start, length 1, then the 33 shorter lengths in one call
+
+    def test_input_stack_is_not_modified(self):
+        starts = self.STARTS.copy()
+        damped_newton(self.evaluate, self.jacobian, starts, *self.LIMITS)
+        assert np.array_equal(starts, self.STARTS, equal_nan=True)
+
+    def test_empty_stack(self):
+        calls = []
+
+        def evaluate(z):
+            calls.append(len(z))
+            return self.evaluate(z)
+
+        z, g, merit = damped_newton(evaluate, self.jacobian, np.zeros((0, 2)), *self.LIMITS)
+        assert z.shape == g.shape == (0, 2) and merit.shape == (0,)
+        assert calls == [0]  # no rounds on an empty stack
 
 
 class TestHomogeneousForm:

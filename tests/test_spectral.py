@@ -12,6 +12,7 @@ from btensor import (
     verify_eigen_bounds,
     z_residual,
 )
+from btensor import spectral
 from btensor.core import contract
 
 from oracles import naive_contract
@@ -132,6 +133,17 @@ class TestFindZ:
         # where the Jacobian's |x|^(m-4) factor is a division by zero for m < 4.
         pairs = find_z_eigenpairs(Tensor.diagonal_tensor(order, 2, [1e200, 1.0]), starts=8, seed=0)
         assert all(p.residual <= 1e-8 for p in pairs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_power_iterate_stops_at_once(self, monkeypatch):
+        # The shift 1 + sum |entries| is inf, so every update is non-finite and its start is
+        # dropped after one round instead of running all 10 000 on NaN.
+        calls = []
+        for name in ("contract", "contract_batch"):
+            kernel = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name, lambda *a, kernel=kernel: calls.append(1) or kernel(*a))
+        assert find_z_eigenpairs(Tensor.diagonal_tensor(3, 2, [1e308, 1e308]), starts=4) == []
+        assert len(calls) <= 4
 
     @pytest.mark.parametrize("search", [find_h_eigenpairs, find_z_eigenpairs])
     @pytest.mark.parametrize("starts", [0, -3])
