@@ -8,7 +8,6 @@ input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -18,29 +17,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import Tensor
-from .datasets import load_example
-from .opnorms import (
-    SandwichViolation,
-    bound_report,
-    closed_form_bounds,
-    estimate_norm,
-    f_norm_bounds,
-    general_upper_bound,
-    t_norm_bounds,
-)
-from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
-from .structure import (
-    classify,
-    membership_diagnostics,
-    random_b0_tensor,
-    random_b_tensor,
-    random_tensor,
-    semipositivity_certificate,
-)
-from .tcp import TcpInstance, solution_lower_bounds, solve, verify_solution_bounds
-from .tcp import residual as tcp_residual
-from .tensorio import dumps_tensor, load_tensor
+
+# Each handler imports the library modules it uses when it runs, so that
+# ``import btensor.cli`` loads no other btensor module.
 
 GOLDEN_TOL = 1e-9
 
@@ -52,7 +31,9 @@ def _default_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _load(path: str) -> Tensor:
+def _load(path: str):
+    from .tensorio import load_tensor
+
     return load_tensor(path)
 
 
@@ -78,8 +59,37 @@ def _norm_value(args) -> float:
     return float(args.p)
 
 
+def _non_finite(value, path: str = ""):
+    """``(path, value)`` of the first non-finite float in a JSON-ready value, keys in sorted order, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        children = ((f"{path}.{key}" if path else str(key), value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for child_path, child in children:
+        found = _non_finite(child, child_path)
+        if found:
+            return found
+    return None
+
+
+def _to_json(payload: dict) -> str:
+    """The report as JSON; a non-finite number raises ValueError naming its field."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _non_finite(payload)
+        if found is None:
+            raise
+        path, value = found
+        raise ValueError(f"{path} is {value}: a non-finite number has no JSON form") from None
+
+
 def _emit(payload: dict, note: str = "") -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    print(_to_json(payload))
     if note:
         print(note, file=sys.stderr)
 
@@ -87,6 +97,8 @@ def _emit(payload: dict, note: str = "") -> None:
 def _write_manifest(args, payload: dict, started: float, inputs: list[str]) -> None:
     if not getattr(args, "manifest", None):
         return
+    import hashlib
+
     hashes = {}
     for path in inputs:
         with open(path, "rb") as handle:
@@ -105,6 +117,8 @@ def _write_manifest(args, payload: dict, started: float, inputs: list[str]) -> N
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
+    from .structure import classify, membership_diagnostics
+
     tensor = _load(args.file)
     report = classify(tensor, tol=args.tol)
     payload = report.to_dict()
@@ -116,6 +130,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 
 def _cmd_semipositive(args) -> tuple[int, dict]:
+    from .structure import semipositivity_certificate
+
     tensor = _load(args.file)
     certificate = semipositivity_certificate(tensor, mode=args.mode, resolution=args.grid)
     note = "violated" if certificate.violated else "no violation found"
@@ -124,6 +140,9 @@ def _cmd_semipositive(args) -> tuple[int, dict]:
 
 
 def _cmd_bounds(args) -> tuple[int, dict]:
+    from .opnorms import bound_report, closed_form_bounds
+    from .structure import classify
+
     tensor = _load(args.file)
     p = _norm_value(args)
     if args.estimate:
@@ -165,6 +184,9 @@ def _cmd_bounds(args) -> tuple[int, dict]:
 
 
 def _cmd_eigen(args) -> tuple[int, dict]:
+    from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
+    from .structure import classify
+
     tensor = _load(args.file)
     if args.kind == "h":
         pairs = find_h_eigenpairs(tensor, starts=args.starts, seed=args.seed)
@@ -184,6 +206,9 @@ def _cmd_eigen(args) -> tuple[int, dict]:
 
 
 def _cmd_tcp(args) -> tuple[int, dict]:
+    from .tcp import TcpInstance, TcpOutcome, solution_lower_bounds, solve, verify_solution_bounds
+    from .tcp import residual as tcp_residual
+
     tensor = _load(args.file)
     q = _parse_vector(args.q, tensor.dim)
     instance = TcpInstance(tensor, q)
@@ -199,8 +224,6 @@ def _cmd_tcp(args) -> tuple[int, dict]:
         return 0, payload
     x = _parse_vector(args.x, tensor.dim)
     res, w = tcp_residual(instance, x)
-    from .tcp import TcpOutcome
-
     outcome = TcpOutcome(x=x, w=w, residual=res, converged=res <= args.tol, starts_used=0)
     certificate = verify_solution_bounds(tensor, q, outcome)
     payload = certificate.to_dict()
@@ -210,6 +233,10 @@ def _cmd_tcp(args) -> tuple[int, dict]:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
+    from .core import Tensor
+    from .structure import classify, random_b0_tensor, random_b_tensor, random_tensor
+    from .tensorio import dumps_tensor
+
     rng = np.random.default_rng(args.seed)
     kind = args.kind
     if kind == "diagonal":
@@ -244,6 +271,13 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 def _paper_claims(seed: int):
     """Golden checks for the two bundled tensors; returns (name, ok, detail) triples."""
+    from .datasets import load_example
+    from .opnorms import estimate_norm, f_norm_bounds, general_upper_bound, t_norm_bounds
+    from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
+    from .structure import classify, random_b_tensor
+    from .tcp import TcpInstance, solve, verify_solution_bounds
+    from .tensorio import dumps_tensor
+
     ex41 = load_example("ex41")
     ex42 = load_example("ex42")
     claims = []
@@ -330,7 +364,7 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
         print(f"{status} {c['name']}: {c['detail']}", file=sys.stderr)
     print(f"done: {len(claims)} claims, {failures} failures", file=sys.stderr)
     payload = {"claims": claims, "failures": failures, "seed": args.seed}
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    print(_to_json(payload))
     return (1 if failures else 0), payload
 
 
@@ -410,7 +444,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SandwichViolation as exc:
+    except ArithmeticError as exc:
+        # Only opnorms raises SandwichViolation, so it is loaded whenever one is caught.
+        opnorms = sys.modules.get(f"{__package__}.opnorms")
+        if opnorms is None or not isinstance(exc, opnorms.SandwichViolation):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(args, payload, started, args.inputs(args))

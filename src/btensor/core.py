@@ -156,21 +156,24 @@ def contract(tensor: Tensor, x) -> np.ndarray:
 
 
 def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`contract`, (k, n) -> (k, n): the same chain with a leading batch axis."""
+    """Row-wise :func:`contract`, (k, n) -> (k, n): the same chain with a leading batch axis.
+
+    The last product of each chunk is written straight into the output.
+    """
     pts = np.asarray(points, dtype=float)
     n = tensor.dim
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatch(f"expected shape (k, {n}), got {pts.shape}")
     flat = tensor.array.reshape(-1, n)
     step = max(1, _BATCH_FLOATS // len(flat))
-    out = np.empty(pts.shape)
+    out = np.empty(pts.shape + (1,))
     for lo in range(0, len(pts), step):
         cols = pts[lo : lo + step, :, None]
-        part = flat @ cols
+        part = flat
         for _ in range(tensor.order - 2):
-            part = part.reshape(len(cols), -1, n) @ cols
-        out[lo : lo + step] = part[:, :, 0]
-    return out
+            part = (part @ cols).reshape(len(cols), -1, n)
+        np.matmul(part, cols, out=out[lo : lo + step])
+    return out[:, :, 0]
 
 
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
@@ -316,10 +319,16 @@ def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """
     pts = _as_rows(tensor, x)
     values = contract_batch(tensor, pts)
-    norms = np.linalg.norm(pts, axis=1)
-    scale = np.zeros_like(norms)
-    scale[norms > 0] = norms[norms > 0] ** (2 - tensor.order)
-    return (values * scale[:, None]).reshape(np.shape(x))
+    # The ufuncs of np.linalg.norm(pts, axis=1), without its dispatch.
+    norms = np.sqrt(np.add.reduce(pts * pts, axis=1))
+    if np.count_nonzero(norms) < len(norms):
+        scale = np.zeros_like(norms)
+        live = norms > 0
+        scale[live] = norms[live] ** (2 - tensor.order)
+    else:
+        scale = norms ** (2 - tensor.order)
+    values *= scale[:, None]
+    return values.reshape(np.shape(x))
 
 
 def root_map(tensor: Tensor, x) -> np.ndarray:

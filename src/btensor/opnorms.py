@@ -6,6 +6,9 @@ bounds hold: the lower bounds involve only the positive off-diagonal caps
 and the row sums, the upper bounds only the diagonal entries.  A seeded
 multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
+The ascent moves all its starts at once, one batched map call per
+(coordinate, sign) move; each start still accepts its moves in sequence,
+as if it ran alone.
 """
 from __future__ import annotations
 
@@ -151,18 +154,18 @@ def closed_form_bounds(
 
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
-        return np.abs(points).max(axis=1)
-    return np.sum(np.abs(points) ** p, axis=1) ** (1 / p)
+        return np.maximum.reduce(np.abs(points), axis=1)
+    return np.add.reduce(np.abs(points) ** p, axis=1) ** (1 / p)
 
 
 def _normalize_rows(points: np.ndarray, p: float) -> np.ndarray:
+    """Scale every row of ``points`` to unit p-norm in place and return it; a zero row becomes e1."""
     norms = _row_norms(points, p)
-    dead = norms == 0
-    if np.any(dead):
-        points = points.copy()
-        points[dead, 0] = 1.0
+    if np.count_nonzero(norms) < len(norms):
+        points[norms == 0, 0] = 1.0
         norms = _row_norms(points, p)
-    return points / norms[:, None]
+    points /= norms[:, None]
+    return points
 
 
 def estimate_norm(
@@ -179,8 +182,13 @@ def estimate_norm(
     Starts are the normalized uniform vector, the coordinate vectors, and
     ``samples`` seeded random unit vectors; each is refined by a normalized
     coordinate ascent whose per-start step halves on a sweep without
-    improvement.  The result is deterministic in the seed and never exceeds
-    the true operator norm.
+    improvement.  A sweep makes the moves (j, +) and (j, -) for j = 0, ...,
+    n - 1 in that order.  Each move scores every start at once: it fills one
+    candidate buffer, reused for the whole estimate, with the points moved
+    along coordinate j, normalizes it in place and applies the map to it in
+    one batch; a start takes its candidate when the value rises, before the
+    next move is made, so each row climbs as it would alone.  The result is
+    deterministic in the seed and never exceeds the true operator norm.
     """
     apply_map = _MAPS[_check_operator(operator)]
     p = _check_p(p)
@@ -192,19 +200,21 @@ def estimate_norm(
     points = _normalize_rows(starts, p)
     values = _row_norms(apply_map(tensor, points), p)
 
+    candidates = np.empty_like(points)
     steps = np.full(len(points), float(step))
     for _ in range(ascent_steps):
         improved = np.zeros(len(points), dtype=bool)
+        moves = (steps, -steps)
         for j in range(n):
-            for sign in (1.0, -1.0):
-                candidates = points.copy()
-                candidates[:, j] += sign * steps
-                candidates = _normalize_rows(candidates, p)
-                cand_values = _row_norms(apply_map(tensor, candidates), p)
+            for move in moves:
+                np.copyto(candidates, points)
+                candidates[:, j] += move
+                cand_values = _row_norms(apply_map(tensor, _normalize_rows(candidates, p)), p)
                 better = cand_values > values
-                points[better] = candidates[better]
-                values[better] = cand_values[better]
-                improved |= better
+                if np.count_nonzero(better):
+                    np.copyto(points, candidates, where=better[:, None])
+                    np.copyto(values, cand_values, where=better)
+                    improved |= better
         steps[~improved] *= 0.5
 
     best = int(np.argmax(values))

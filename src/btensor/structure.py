@@ -10,6 +10,7 @@ generators that produce members of either class by construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -242,27 +243,24 @@ def membership_diagnostics(tensor: Tensor, strict: bool = True) -> DominanceDiag
 
 def simplex_lattice(resolution: int, dim: int) -> np.ndarray:
     """All points with coordinates ``k/resolution``, k nonnegative integers
-    summing to ``resolution``, in ascending lexicographic order."""
+    summing to ``resolution``, in ascending lexicographic order.
+
+    Each point is a placement of ``dim - 1`` bars among ``resolution + dim - 1``
+    slots, its k the gaps between them; bar placements in ascending
+    lexicographic order give the points in that order.
+    """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     count = math.comb(resolution + dim - 1, dim - 1)
     if count > GRID_POINT_LIMIT:
         raise GridTooLarge(f"simplex lattice has {count} points, limit is {GRID_POINT_LIMIT}")
-    points = np.empty((count, dim), dtype=float)
-    row = 0
-
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        nonlocal row
-        if slots == 1:
-            points[row, : len(prefix)] = prefix
-            points[row, -1] = remaining
-            row += 1
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, slots - 1)
-
-    fill([], resolution, dim)
-    return points / resolution
+    slots = resolution + dim - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), dim - 1)),
+        dtype=float,
+        count=count * (dim - 1),
+    ).reshape(count, dim - 1)
+    return (np.diff(bars, axis=1, prepend=-1.0, append=float(slots)) - 1.0) / resolution
 
 
 @dataclass(frozen=True)

@@ -42,20 +42,28 @@ def naive_row_sums(tensor):
     return sums
 
 
-def grid_min_residual(tensor, q, radius, points=2001, chunk=250_000):
-    """Exhaustive complementarity-residual scan over [0, radius]^2 (dim 2 only)."""
+def grid_min_residual(tensor, q, radius, points=2001, rows=125):
+    """Exhaustive complementarity-residual scan over [0, radius]^2 (order 3, dim 2 only).
+
+    The slack is the explicit quadratic form
+    w_i = q_i + a_i00 x0^2 + (a_i01 + a_i10) x0 x1 + a_i11 x1^2,
+    evaluated ``rows`` grid values of x0 at a time against every x1.
+    """
     assert tensor.dim == 2 and tensor.order == 3
     arr = tensor.array
+
+    def slack(i, x0, x1):
+        return q[i] + arr[i, 0, 0] * x0 * x0 + (arr[i, 0, 1] + arr[i, 1, 0]) * x0 * x1 + arr[i, 1, 1] * x1 * x1
+
     axis = np.linspace(0.0, radius, points)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.column_stack([g1.ravel(), g2.ravel()])
+    x1 = axis[None, :]
     best = np.inf
-    for lo in range(0, len(grid), chunk):
-        block = grid[lo : lo + chunk]
-        values = np.einsum("ijk,pj,pk->pi", arr, block, block)
-        w = q[None, :] + values
-        residuals = np.max(np.abs(np.minimum(block, w)), axis=1)
-        best = min(best, float(residuals.min()))
+    for lo in range(0, points, rows):
+        x0 = axis[lo : lo + rows, None]
+        residual = np.maximum(
+            np.abs(np.minimum(x0, slack(0, x0, x1))), np.abs(np.minimum(x1, slack(1, x0, x1)))
+        )
+        best = min(best, float(residual.min()))
     return best
 
 
@@ -106,3 +114,9 @@ def radial_grid_oracle(tensor, q, resolution=24):
             if res < best_res:
                 best_res, best_x = res, t * u
     return best_x, best_res
+
+
+def naive_simplex_lattice(resolution, dim):
+    """Every integer vector in {0, ..., resolution}^dim summing to ``resolution``, sorted, over ``resolution``."""
+    rows = sorted(k for k in itertools.product(range(resolution + 1), repeat=dim) if sum(k) == resolution)
+    return np.array(rows, dtype=float).reshape(-1, dim) / resolution

@@ -151,7 +151,7 @@ def test_criterion_4_norm_sandwich():
                 if not (lower <= estimate <= min(general, upper) and lower < upper):
                     violations += 1
     elapsed = time.perf_counter() - started
-    ok = violations == 0 and elapsed < 300.0
+    ok = violations == 0 and elapsed < 60.0
     report(4, ok, f"{checked} brackets, violations={violations}, {elapsed:.1f}s")
 
 

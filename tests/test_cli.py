@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,11 +148,19 @@ class TestBoundsCommand:
         def violated(*args, **kwargs):
             raise SandwichViolation("estimate 2.0 outside [0.0, min(1.0, 1.0)]")
 
-        monkeypatch.setattr("btensor.cli.bound_report", violated)
+        monkeypatch.setattr("btensor.opnorms.bound_report", violated)
         code, out, err = run_cli(capsys, "bounds", EX41, "--op", "T", "--estimate")
         assert code == 1
         assert not out
         assert err.startswith("error: estimate 2.0 outside")
+
+    def test_other_arithmetic_error_is_not_a_verification_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("not a sandwich check")
+
+        monkeypatch.setattr("btensor.structure.classify", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["classify", EX41])
 
 
 class TestEigenCommand:
@@ -239,6 +248,49 @@ class TestTcpCommand:
         )
         assert code == 2
         assert "nonzero" in err
+
+
+class TestNonFiniteReport:
+    """A report value that overflows to inf exits 2 with its JSON path, not json's message."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "btensor", *argv], capture_output=True, text=True, env=env, check=False
+        )
+
+    @pytest.mark.parametrize("kind", ["h", "z"])
+    def test_eigen_bound_overflow_names_the_field(self, tmp_path, kind):
+        big = load_tensor(EX41).array.copy()
+        big[1, 1, 1, 1] = 1e308
+        path = tmp_path / "big.json"
+        dump_tensor(Tensor(big), path)
+        run = self.run_module("eigen", str(path), "--kind", kind, "--verify-bounds")
+        assert run.returncode == 2
+        assert not run.stdout
+        assert "error: bound_report.z_bound is inf" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert "not JSON compliant" not in run.stderr
+
+    def test_tcp_solve_overflow_names_the_field(self, tmp_path):
+        path = tmp_path / "diag.json"
+        dump_tensor(Tensor.diagonal_tensor(3, 2, [1e200, 1e200]), path)
+        run = self.run_module("tcp", "solve", str(path), "--q", "[-1e300,-1]")
+        assert run.returncode == 2
+        assert not run.stdout
+        assert "error: w[0] is inf" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_path_of_first_non_finite_value(self):
+        from btensor.cli import _non_finite
+
+        payload = {"b": [1.0, {"c": float("nan")}], "a": {"x": 2.0, "y": [0.0, -math.inf]}, "z": "inf"}
+        path, value = _non_finite(payload)
+        assert path == "a.y[1]" and value == -math.inf
+        assert _non_finite({"a": [1.0, 2], "b": None, "c": "nan"}) is None
 
 
 class TestGenCommand:

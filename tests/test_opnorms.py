@@ -15,6 +15,7 @@ from btensor import (
     random_b_tensor,
     t_norm_bounds,
 )
+from btensor.opnorms import _normalize_rows
 
 INF = math.inf
 
@@ -119,6 +120,15 @@ class TestEstimate:
     def test_sample_validation(self, ex41):
         with pytest.raises(ValueError):
             estimate_norm(ex41, "T", INF, samples=0)
+
+    @pytest.mark.parametrize("p", [INF, 1.0, 2.0, 3.0])
+    def test_zero_row_normalizes_to_first_coordinate(self, p):
+        rows = np.array([[0.0, 0.0, 0.0], [0.0, -3.0, 4.0]])
+        out = _normalize_rows(rows, p)
+        assert out is rows
+        assert np.array_equal(out[0], [1.0, 0.0, 0.0])
+        scale = {INF: 4.0, 1.0: 7.0, 2.0: 5.0, 3.0: 91.0 ** (1 / 3)}[p]
+        np.testing.assert_allclose(out[1], np.array([0.0, -3.0, 4.0]) / scale, rtol=1e-15)
 
 
 class TestBoundReport:

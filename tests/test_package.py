@@ -1,0 +1,90 @@
+"""The package namespace: lazy loading keeps every name and every submodule.
+
+``import btensor.cli`` loads only the package and the CLI module; the rest
+load when a name from them is first read.  Each check runs in a fresh
+interpreter, where nothing has been imported yet.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Every public name of the package as it stood with eager imports.
+EXPORTS = [
+    "ClassificationError", "ClassificationReport", "DimensionMismatch", "DominanceDiagnostics",
+    "EigenBoundReport", "EigenPair", "GridTooLarge", "NormBoundReport", "SandwichViolation",
+    "SemiPositivityCertificate", "SolutionBoundCertificate", "TcpInstance", "TcpOutcome", "Tensor",
+    "TensorFormatError", "UnsupportedOrder", "bound_report", "boundedness_probe", "classify",
+    "contract", "contract_batch", "contraction_jacobian", "dump_tensor", "dumps_tensor",
+    "eigenvalue_bounds", "estimate_norm", "f_norm_bounds", "find_h_eigenpairs", "find_z_eigenpairs",
+    "general_upper_bound", "h_residual", "homogeneous_form", "is_entry_symmetric", "load_example",
+    "load_tensor", "loads_tensor", "membership_diagnostics", "random_b0_tensor", "random_b_tensor",
+    "random_tensor", "root_map", "row_profile", "scaled_map", "semipositivity_certificate",
+    "simplex_lattice", "solution_lower_bounds", "t_norm_bounds", "tcp_residual", "tcp_solve",
+    "tensor_from_obj", "tensor_to_obj", "vector_norm", "vector_power", "verify_eigen_bounds",
+    "verify_solution_bounds", "z_residual",
+]
+SUBMODULES = ["cli", "core", "datasets", "opnorms", "spectral", "structure", "tcp", "tensorio"]
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return run.stdout
+
+
+def test_cli_import_loads_only_the_cli():
+    out = run_python(
+        "import sys, json\n"
+        "import btensor.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'btensor' or m.startswith('btensor.'))))\n"
+    )
+    assert json.loads(out) == ["btensor", "btensor.cli"]
+
+
+def test_every_export_resolves_to_its_home_object():
+    out = run_python(
+        "import importlib, json\n"
+        "import btensor\n"
+        f"names = {EXPORTS!r}\n"
+        "homes = {}\n"
+        "for name in names:\n"
+        "    obj = getattr(btensor, name)\n"
+        "    home = importlib.import_module(obj.__module__)\n"
+        "    homes[name] = [obj.__module__, getattr(home, obj.__name__) is obj, name in vars(btensor)]\n"
+        "star = {}\n"
+        "exec('from btensor import *', star)\n"
+        "print(json.dumps({'homes': homes, 'dir': dir(btensor), 'star': sorted(star), 'version': btensor.__version__}))\n"
+    )
+    result = json.loads(out)
+    for name in EXPORTS:
+        module, is_home_object, cached = result["homes"][name]
+        assert module.startswith("btensor.") and module != "btensor.cli", name
+        assert is_home_object and cached, name
+    assert result["homes"]["tcp_solve"][0] == result["homes"]["tcp_residual"][0] == "btensor.tcp"
+    assert set(EXPORTS) <= set(result["dir"])
+    assert set(EXPORTS) <= set(result["star"])
+    assert result["version"] == "0.1.0"
+
+
+def test_submodules_are_attributes():
+    out = run_python(
+        "import json, btensor\n"
+        f"print(json.dumps([getattr(btensor, name).__name__ for name in {SUBMODULES!r}]))\n"
+    )
+    assert json.loads(out) == [f"btensor.{name}" for name in SUBMODULES]
+
+
+def test_unknown_name_is_attribute_error():
+    out = run_python(
+        "import btensor\n"
+        "try:\n"
+        "    btensor.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "no_such_name" in out

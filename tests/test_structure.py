@@ -16,7 +16,7 @@ from btensor import (
     simplex_lattice,
 )
 
-from oracles import naive_row_sums
+from oracles import naive_row_sums, naive_simplex_lattice
 
 
 class TestRowProfile:
@@ -149,6 +149,12 @@ class TestSimplexLattice:
     def test_size_guard(self):
         with pytest.raises(GridTooLarge):
             simplex_lattice(2000, 4)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_product_oracle(self, dim):
+        for resolution in range(1, 10):
+            expected = naive_simplex_lattice(resolution, dim)
+            assert np.array_equal(simplex_lattice(resolution, dim), expected), (resolution, dim)
 
 
 class TestSemiPositivity:
