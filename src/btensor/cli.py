@@ -53,12 +53,6 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _norm_value(args) -> float:
-    if args.norm == "inf":
-        return math.inf
-    return float(args.p)
-
-
 def _non_finite(value, path: str = ""):
     """``(path, value)`` of the first non-finite float in a JSON-ready value, keys in sorted order, else None."""
     if isinstance(value, float):
@@ -117,13 +111,13 @@ def _write_manifest(args, payload: dict, started: float, inputs: list[str]) -> N
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
-    from .structure import classify, membership_diagnostics
+    from . import structure
 
     tensor = _load(args.file)
-    report = classify(tensor, tol=args.tol)
+    report = structure.classify(tensor, tol=args.tol)
     payload = report.to_dict()
     if report.verdict != "Neither":
-        diagnostics = membership_diagnostics(tensor, strict=report.verdict == "B")
+        diagnostics = structure.membership_diagnostics(tensor, strict=report.verdict == "B")
         payload["diagnostics"] = diagnostics.to_dict()
     _emit(payload, f"verdict: {report.verdict}")
     return 0, payload
@@ -140,31 +134,17 @@ def _cmd_semipositive(args) -> tuple[int, dict]:
 
 
 def _cmd_bounds(args) -> tuple[int, dict]:
-    from .opnorms import bound_report, closed_form_bounds
-    from .structure import classify
+    from .opnorms import bound_report, closed_form_report
 
     tensor = _load(args.file)
-    p = _norm_value(args)
+    p = math.inf if args.norm == "inf" else float(args.p)
     if args.estimate:
         report = bound_report(
             tensor, args.op, p, samples=args.samples, ascent_steps=args.steps, seed=args.seed
         )
-        payload = report.to_dict()
     else:
-        verdict = classify(tensor).verdict
-        variant = "B" if verdict == "B" else "B0"
-        general, lower, upper = closed_form_bounds(tensor, args.op, p, variant)
-        payload = {
-            "operator": args.op,
-            "norm": "inf" if p == math.inf else p,
-            "variant": variant,
-            "strict": variant == "B",
-            "general_upper": general,
-            "b_lower": lower,
-            "b_upper": upper,
-            "empirical_estimate": None,
-            "estimate_witness": None,
-        }
+        report = closed_form_report(tensor, args.op, p)
+    payload = report.to_dict()
     if args.format == "csv":
         fields = [
             "operator",
@@ -185,7 +165,7 @@ def _cmd_bounds(args) -> tuple[int, dict]:
 
 def _cmd_eigen(args) -> tuple[int, dict]:
     from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
-    from .structure import classify
+    from .structure import require_membership
 
     tensor = _load(args.file)
     if args.kind == "h":
@@ -195,8 +175,7 @@ def _cmd_eigen(args) -> tuple[int, dict]:
     payload = {"kind": args.kind, "pairs": [pair.to_dict() for pair in pairs]}
     exit_code = 0
     if args.verify_bounds:
-        verdict = classify(tensor).verdict
-        variant = "B" if verdict == "B" else "B0"
+        variant = require_membership(tensor, "B0").verdict
         report = verify_eigen_bounds(tensor, pairs, variant)
         payload["bound_report"] = report.to_dict()
         if not report.all_within:
@@ -234,9 +213,11 @@ def _cmd_tcp(args) -> tuple[int, dict]:
 
 def _cmd_gen(args) -> tuple[int, dict]:
     from .core import Tensor
-    from .structure import classify, random_b0_tensor, random_b_tensor, random_tensor
-    from .tensorio import dumps_tensor
+    from .structure import ClassificationError, random_b0_tensor, random_b_tensor, random_tensor
+    from .structure import require_membership
+    from .tensorio import check_entry_budget, dumps_tensor
 
+    check_entry_budget(args.m, args.n)
     rng = np.random.default_rng(args.seed)
     kind = args.kind
     if kind == "diagonal":
@@ -244,19 +225,16 @@ def _cmd_gen(args) -> tuple[int, dict]:
     elif kind == "random":
         tensor = random_tensor(args.m, args.n, rng)
     else:
-        expected = "B" if kind == "B" else "B0"
-        tensor = None
+        generate = random_b_tensor if kind == "B" else random_b0_tensor
         for _ in range(100):
-            candidate = (
-                random_b_tensor(args.m, args.n, rng)
-                if kind == "B"
-                else random_b0_tensor(args.m, args.n, rng)
-            )
-            if classify(candidate).verdict == expected:
-                tensor = candidate
-                break
-        if tensor is None:
-            print(f"could not generate a {expected} tensor in 100 tries", file=sys.stderr)
+            tensor = generate(args.m, args.n, rng)
+            try:
+                if require_membership(tensor, kind).verdict == kind:
+                    break
+            except ClassificationError:
+                pass
+        else:
+            print(f"could not generate a {kind} tensor in 100 tries", file=sys.stderr)
             return 1, {}
     text = dumps_tensor(tensor)
     if args.out:
@@ -294,7 +272,7 @@ def _paper_claims(seed: int):
     claim("ex41-offdiag-caps", beta_ok, f"beta={report41.beta.tolist()}")
 
     general41 = general_upper_bound(ex41, "T", math.inf)
-    _, upper41 = t_norm_bounds(ex41, math.inf, "B")
+    lower41, upper41 = t_norm_bounds(ex41, math.inf, "B")
     ok = abs(upper41 - 54.0) <= GOLDEN_TOL and abs(general41 - 57.0) <= GOLDEN_TOL and upper41 < general41
     claim("ex41-T-inf-upper-tighter", ok, f"b_upper={upper41}, general={general41}")
 
@@ -307,7 +285,6 @@ def _paper_claims(seed: int):
     )
 
     estimate41, _ = estimate_norm(ex41, "T", math.inf, samples=64, ascent_steps=25, seed=seed)
-    lower41, _ = t_norm_bounds(ex41, math.inf, "B")
     ok = lower41 <= estimate41 <= min(general41, upper41) + GOLDEN_TOL
     claim("ex41-T-inf-sandwich", ok, f"{lower41:.6f} <= {estimate41:.6f} <= {min(general41, upper41)}")
 
@@ -410,9 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = tcp_sub.add_parser(name)
         sp.add_argument("file")
         sp.add_argument("--q", required=True, help="JSON vector, e.g. \"[-1,-1,-1]\"")
-        sp.add_argument("--starts", type=int, default=16)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=None)
+        if name == "solve":
+            sp.add_argument("--starts", type=int, default=16)
+            sp.add_argument("--seed", type=int, default=None)
+        if name != "bounds":
+            sp.add_argument("--tol", type=float, default=1e-8)
         if name == "verify":
             sp.add_argument("--x", required=True, help="candidate solution as a JSON vector")
         sp.set_defaults(func=_cmd_tcp, inputs=lambda a: [a.file])

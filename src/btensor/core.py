@@ -10,16 +10,19 @@ degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
 vector or a batch.  :func:`damped_newton` is the one Newton driver: it
 advances a stack of starts together, and the H- and Z-eigenpair searches
 and the complementarity solver supply only a batched residual and its
-Jacobian.
+Jacobian.  :class:`Report` is the base of every result dataclass and gives
+them their one JSON serialiser.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 
 __all__ = [
+    "Report",
     "Tensor",
     "DimensionMismatch",
     "UnsupportedOrder",
@@ -41,6 +44,27 @@ _BATCH_FLOATS = 1 << 16
 # damped_newton's line search scores at most this many trial points per
 # evaluate call, which bounds its memory on a wide stack.
 _TRIAL_POINTS = 256
+
+
+class Report:
+    """Base of the frozen result dataclasses, with their one JSON serialiser.
+
+    ``to_dict`` maps each field to its name: an ndarray as its ``tolist()``, a tuple
+    as a list, a nested report as its dict.  An override edits ``super().to_dict()``.
+    """
+
+    def to_dict(self) -> dict:
+        return {field.name: _plain(getattr(self, field.name)) for field in dataclasses.fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 class DimensionMismatch(ValueError):

@@ -8,17 +8,20 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone.
+as if it ran alone.  :func:`closed_form_report` gives the bracket of a
+tensor at its own class as a :class:`NormBoundReport` with no estimate, and
+:func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, UnsupportedOrder, root_map, scaled_map
-from .structure import require_membership, row_profile
+from .core import Report, Tensor, UnsupportedOrder, root_map, scaled_map
+from .structure import require_membership
 
 __all__ = [
     "NormBoundReport",
@@ -26,7 +29,7 @@ __all__ = [
     "general_upper_bound",
     "t_norm_bounds",
     "f_norm_bounds",
-    "closed_form_bounds",
+    "closed_form_report",
     "estimate_norm",
     "bound_report",
 ]
@@ -92,15 +95,14 @@ def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     uses only the diagonal entries.
     """
     p = _check_p(p)
-    require_membership(tensor, variant)
+    beta = require_membership(tensor, variant).beta
     m, n = tensor.order, tensor.dim
-    profile = row_profile(tensor)
     diag = tensor.diagonal
     if p == math.inf:
-        lower = n ** (m / 2) * profile.beta.max()
+        lower = n ** (m / 2) * beta.max()
         upper = n ** (m / 2) * diag.max()
     else:
-        lower = n ** ((m * p - 2) / (2 * p)) * np.sum(profile.beta**p) ** (1 / p)
+        lower = n ** ((m * p - 2) / (2 * p)) * np.sum(beta**p) ** (1 / p)
         upper = n ** ((m * p - 2) / (2 * p)) * np.sum(diag**p) ** (1 / p)
     if variant == "B":
         lower = max(lower, _uniform_witness_value(tensor, "T", p))
@@ -117,39 +119,18 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     m, n = tensor.order, tensor.dim
     if m % 2:
         raise UnsupportedOrder(f"operator F needs an even order, got {m}")
-    require_membership(tensor, variant)
-    profile = row_profile(tensor)
+    beta = require_membership(tensor, variant).beta
     diag = tensor.diagonal
     root = 1.0 / (m - 1)
     if p == math.inf:
-        lower = n * profile.beta.max() ** root
+        lower = n * beta.max() ** root
         upper = min(general_upper_bound(tensor, "F", math.inf), n * diag.max() ** root)
     else:
-        lower = n ** ((p - 1) / p) * np.sum(profile.beta ** (p * root)) ** (1 / p)
+        lower = n ** ((p - 1) / p) * np.sum(beta ** (p * root)) ** (1 / p)
         upper = n ** ((p - 1) / p) * np.sum(diag ** (p * root)) ** (1 / p)
     if variant == "B":
         lower = max(lower, _uniform_witness_value(tensor, "F", p))
     return float(lower), float(upper)
-
-
-def closed_form_bounds(
-    tensor: Tensor, operator: str, p: float = math.inf, variant: str = "B"
-) -> tuple[float, float, float]:
-    """``(general_upper, b_lower, b_upper)`` of a ``variant`` member.
-
-    Entries that overflow a closed form raise ``ValueError`` naming the first
-    bound that is not finite; numpy's overflow warnings are silenced, as the
-    error says it.
-    """
-    _check_operator(operator)
-    bracket = t_norm_bounds if operator == "T" else f_norm_bounds
-    with np.errstate(over="ignore"):
-        general = general_upper_bound(tensor, operator, p)
-        lower, upper = bracket(tensor, p, variant)
-    for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")
-    return general, lower, upper
 
 
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
@@ -194,6 +175,8 @@ def estimate_norm(
     p = _check_p(p)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if ascent_steps < 0:
+        raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     n = tensor.dim
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones((1, n)), np.eye(n), rng.standard_normal((samples, n))])
@@ -222,29 +205,50 @@ def estimate_norm(
 
 
 @dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(Report):
     operator: str  # "T" or "F"
-    p: float  # math.inf for the max norm
+    p: float  # math.inf for the max norm; written as "norm", "inf" for math.inf
     variant: str  # "B" or "B0"
     strict: bool
     general_upper: float
     b_lower: float
     b_upper: float
-    empirical_estimate: float
-    estimate_witness: np.ndarray
+    empirical_estimate: Optional[float] = None
+    estimate_witness: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "norm": "inf" if self.p == math.inf else self.p,
-            "variant": self.variant,
-            "strict": self.strict,
-            "general_upper": self.general_upper,
-            "b_lower": self.b_lower,
-            "b_upper": self.b_upper,
-            "empirical_estimate": self.empirical_estimate,
-            "estimate_witness": [float(v) for v in self.estimate_witness],
-        }
+        payload = {("norm" if key == "p" else key): value for key, value in super().to_dict().items()}
+        return payload | {"norm": "inf" if self.p == math.inf else self.p}
+
+
+def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf) -> NormBoundReport:
+    """The closed-form bracket of a member of either class, at its own class, with no estimate.
+
+    The operator and ``p`` are checked first, then membership of at least
+    the non-strict class; the classification's verdict is the report's
+    variant.  Entries that overflow a closed form raise ``ValueError``
+    naming the first bound that is not finite; numpy's overflow warnings
+    are silenced, as the error says it.
+    """
+    _check_operator(operator)
+    p = _check_p(p)
+    variant = require_membership(tensor, "B0").verdict  # "B" or "B0"
+    bracket = t_norm_bounds if operator == "T" else f_norm_bounds
+    with np.errstate(over="ignore"):
+        general = general_upper_bound(tensor, operator, p)
+        lower, upper = bracket(tensor, p, variant)
+    for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")
+    return NormBoundReport(
+        operator=operator,
+        p=p,
+        variant=variant,
+        strict=variant == "B",
+        general_upper=general,
+        b_lower=lower,
+        b_upper=upper,
+    )
 
 
 def bound_report(
@@ -255,18 +259,15 @@ def bound_report(
     ascent_steps: int = 100,
     seed: int = 0,
 ) -> NormBoundReport:
-    """Assemble the full bracket report and enforce the sandwich invariant.
+    """:func:`closed_form_report` with the empirical estimate, sandwich checked.
 
-    A bound that overflows raises ``ValueError``; an estimate outside the
-    bracket raises :class:`SandwichViolation`.
+    A bound that overflows, or a bad argument, raises ``ValueError``; an
+    estimate outside the bracket raises :class:`SandwichViolation`.
     """
-    _check_operator(operator)
-    p = _check_p(p)
-    report = require_membership(tensor, "B0")
-    variant = report.verdict  # "B" or "B0"
-    general, lower, upper = closed_form_bounds(tensor, operator, p, variant)
+    report = closed_form_report(tensor, operator, p)
+    lower, general, upper = report.b_lower, report.general_upper, report.b_upper
     estimate, witness = estimate_norm(
-        tensor, operator, p, samples=samples, ascent_steps=ascent_steps, seed=seed
+        tensor, operator, report.p, samples=samples, ascent_steps=ascent_steps, seed=seed
     )
     # The non-strict class can attain its lower bound exactly, where two
     # float routes to the same real may sit an ulp apart; recognize the tie.
@@ -275,14 +276,4 @@ def bound_report(
         raise SandwichViolation(
             f"estimate {estimate} outside [{lower}, min({general}, {upper})]"
         )
-    return NormBoundReport(
-        operator=operator,
-        p=p,
-        variant=variant,
-        strict=variant == "B",
-        general_upper=general,
-        b_lower=lower,
-        b_upper=upper,
-        empirical_estimate=estimate,
-        estimate_witness=witness,
-    )
+    return replace(report, empirical_estimate=estimate, estimate_witness=witness)

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    Report,
     Tensor,
     contract,
     contract_batch,
@@ -47,19 +48,11 @@ NEWTON_LIMITS = (80, 1e-12, 1e-10)  # max_iter, tol, min_step of damped_newton
 
 
 @dataclass(frozen=True)
-class EigenPair:
+class EigenPair(Report):
     kind: str  # "H" or "Z"
     value: float
     vector: np.ndarray  # max-norm 1 for H, 2-norm 1 for Z
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "vector": [float(v) for v in self.vector],
-            "residual": self.residual,
-        }
 
 
 def h_residual(tensor: Tensor, value: float, x: np.ndarray) -> float:
@@ -74,7 +67,7 @@ def z_residual(tensor: Tensor, value: float, x: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class EigenBoundReport:
+class EigenBoundReport(Report):
     h_bound: Optional[float]  # None for odd order
     z_bound: float
     strict: bool
@@ -83,18 +76,6 @@ class EigenBoundReport:
     max_abs_z: float = 0.0
     all_within: bool = True
     h_skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "h_bound": self.h_bound,
-            "z_bound": self.z_bound,
-            "strict": self.strict,
-            "pairs_checked": self.pairs_checked,
-            "max_abs_h": self.max_abs_h,
-            "max_abs_z": self.max_abs_z,
-            "all_within": self.all_within,
-            "h_skipped": self.h_skipped,
-        }
 
 
 def eigenvalue_bounds(tensor: Tensor, variant: str = "B") -> EigenBoundReport:

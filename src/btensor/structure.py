@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Tensor, contract_batch
+from .core import Report, Tensor, contract_batch
 
 __all__ = [
     "RowProfile",
@@ -40,7 +40,7 @@ __all__ = [
 GRID_POINT_LIMIT = 1_000_000
 
 
-class GridTooLarge(RuntimeError):
+class GridTooLarge(ValueError):
     """Simplex lattice would exceed the point budget."""
 
 
@@ -81,7 +81,7 @@ def row_profile(tensor: Tensor) -> RowProfile:
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(Report):
     """A row that breaks membership, with the offending off-diagonal index when relevant."""
 
     row: int  # 1-based
@@ -90,26 +90,18 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Report):
     verdict: str  # "B", "B0", or "Neither"
     row_sums: np.ndarray
     thresholds: np.ndarray
-    max_offdiag: np.ndarray
+    max_offdiag: np.ndarray  # -inf, shown as null, when the row has no off-diagonal entries
     beta: np.ndarray
     witnesses: tuple[Witness, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "row_sums": [float(v) for v in self.row_sums],
-            "thresholds": [float(v) for v in self.thresholds],
-            "max_offdiag": [None if math.isinf(v) else float(v) for v in self.max_offdiag],
-            "beta": [float(v) for v in self.beta],
-            "witnesses": [
-                {"row": w.row, "index": list(w.index) if w.index else None, "reason": w.reason}
-                for w in self.witnesses
-            ],
-        }
+        payload = super().to_dict()
+        payload["max_offdiag"] = [None if math.isinf(v) else v for v in payload["max_offdiag"]]
+        return payload
 
 
 def _offending_index(tensor: Tensor, row: int) -> Optional[tuple[int, ...]]:
@@ -177,7 +169,7 @@ def require_membership(tensor: Tensor, variant: str) -> ClassificationReport:
 
 
 @dataclass(frozen=True)
-class DominanceDiagnostics:
+class DominanceDiagnostics(Report):
     """Three per-row consequences of membership.
 
     For a strict-class tensor each must hold strictly in every row:
@@ -200,21 +192,14 @@ class DominanceDiagnostics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "strict": self.strict,
-            "diag_dominates_offdiag": [bool(v) for v in self.diag_dominates_offdiag],
-            "rowsum_exceeds_cap": [bool(v) for v in self.rowsum_exceeds_cap],
-            "diag_covers_negatives": [bool(v) for v in self.diag_covers_negatives],
-            "all_hold": self.all_hold(),
-        }
+        return super().to_dict() | {"all_hold": self.all_hold()}
 
 
 def membership_diagnostics(tensor: Tensor, strict: bool = True) -> DominanceDiagnostics:
-    require_membership(tensor, "B" if strict else "B0")
+    report = require_membership(tensor, "B" if strict else "B0")
     n, m = tensor.dim, tensor.order
     rows = tensor.array.reshape(n, -1)
     diag = tensor.diagonal
-    profile = row_profile(tensor)
 
     if n == 1:
         max_abs_off = np.zeros(1)
@@ -223,15 +208,15 @@ def membership_diagnostics(tensor: Tensor, strict: bool = True) -> DominanceDiag
         abs_rows[np.arange(n), _diag_flat_positions(m, n)] = 0.0
         max_abs_off = abs_rows.max(axis=1)
     neg_sums = np.where(rows < 0, -rows, 0.0).sum(axis=1)
-    cap = float(n ** (m - 1)) * profile.beta
+    cap = float(n ** (m - 1)) * report.beta
 
     if strict:
         first = diag > max_abs_off
-        second = profile.row_sums > cap
+        second = report.row_sums > cap
         third = diag > neg_sums
     else:
         first = diag >= max_abs_off
-        second = profile.row_sums >= cap
+        second = report.row_sums >= cap
         third = diag >= neg_sums
     return DominanceDiagnostics(
         strict=strict,
@@ -264,7 +249,7 @@ def simplex_lattice(resolution: int, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SemiPositivityCertificate:
+class SemiPositivityCertificate(Report):
     """Sampled certificate over the simplex lattice.
 
     ``worst_value`` is the smallest over all lattice points of the largest
@@ -279,15 +264,6 @@ class SemiPositivityCertificate:
     worst_point: np.ndarray
     worst_value: float
     violated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "resolution": self.resolution,
-            "worst_point": [float(v) for v in self.worst_point],
-            "worst_value": float(self.worst_value),
-            "violated": self.violated,
-        }
 
 
 def semipositivity_certificate(

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    Report,
     Tensor,
     contract,
     contract_batch,
@@ -63,21 +64,12 @@ class TcpInstance:
 
 
 @dataclass(frozen=True)
-class TcpOutcome:
+class TcpOutcome(Report):
     x: np.ndarray
     w: np.ndarray
     residual: float
     converged: bool
     starts_used: int
-
-    def to_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "w": [float(v) for v in self.w],
-            "residual": self.residual,
-            "converged": self.converged,
-            "starts_used": self.starts_used,
-        }
 
 
 def residual(instance: TcpInstance, x) -> tuple[float, np.ndarray]:
@@ -207,7 +199,7 @@ def solve(
 
 
 @dataclass(frozen=True)
-class SolutionBoundCertificate:
+class SolutionBoundCertificate(Report):
     """Lower bounds on ``norm(x) ** (m-1)`` for any nonzero solution x.
 
     ``lb_inf`` and ``lb_2`` use the max and 2 norms; ``lb_m`` uses the
@@ -219,15 +211,6 @@ class SolutionBoundCertificate:
     lb_2: float
     lb_m: Optional[float]
     holds: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "q_plus_neg": [float(v) for v in self.q_plus_neg],
-            "lb_inf": self.lb_inf,
-            "lb_2": self.lb_2,
-            "lb_m": self.lb_m,
-            "holds": self.holds,
-        }
 
 
 def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:

@@ -9,7 +9,8 @@ Two on-disk forms are accepted:
   every position not listed takes ``entries_default``.
 
 Every entry must be a finite JSON number: NaN, infinities, integers beyond
-the float range, strings and booleans are rejected.
+the float range, strings and booleans are rejected, and so is a size over
+``ENTRY_LIMIT`` entries, before anything is allocated.
 
 Serialization always emits the dense form with a fixed key order, so a
 parse/serialize round trip of a file written here is byte identical.
@@ -26,6 +27,7 @@ from .core import Tensor
 
 __all__ = [
     "TensorFormatError",
+    "check_entry_budget",
     "tensor_from_obj",
     "tensor_to_obj",
     "loads_tensor",
@@ -35,8 +37,21 @@ __all__ = [
 ]
 
 
+ENTRY_LIMIT = 2**24
+
+
 class TensorFormatError(ValueError):
     """Raised for a structurally invalid tensor document."""
+
+
+def check_entry_budget(order: int, dim: int) -> None:
+    """Raise :class:`TensorFormatError` for more than ``ENTRY_LIMIT`` entries or numpy's 64 axes."""
+    if order > 64:
+        raise TensorFormatError(f"order {order} is over numpy's limit of 64 axes")
+    if dim**order > ENTRY_LIMIT:
+        raise TensorFormatError(
+            f"order {order}, dim {dim} is {dim**order} entries, over the limit of {ENTRY_LIMIT}"
+        )
 
 
 def _require_int(obj: dict, key: str, minimum: int) -> int:
@@ -64,6 +79,7 @@ def tensor_from_obj(obj: Any) -> Tensor:
         raise TensorFormatError(f"tensor document must be an object, got {type(obj).__name__}")
     order = _require_int(obj, "order", 2)
     dim = _require_int(obj, "dim", 1)
+    check_entry_budget(order, dim)
 
     if "dense" in obj:
         dense = obj["dense"]

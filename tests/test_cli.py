@@ -82,6 +82,12 @@ class TestSemipositiveCommand:
         assert code == 1
         assert json.loads(out)["violated"]
 
+    def test_grid_over_the_point_budget_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "semipositive", EX42, "--grid", "100000")
+        assert code == 2
+        assert not out
+        assert err.startswith("error: simplex lattice has ")
+
 
 class TestBoundsCommand:
     def test_json_report(self, capsys):
@@ -118,6 +124,23 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", str(path), "--op", "F")
         assert code == 2
         assert "even order" in err
+
+    @pytest.mark.parametrize("estimate", [[], ["--estimate"]])
+    @pytest.mark.parametrize("op", ["T", "F"])
+    def test_nonmember_is_refused_first(self, capsys, tmp_path, op, estimate):
+        # With or without the estimate, membership is checked before the order F needs.
+        path = tmp_path / "neither.json"
+        dump_tensor(Tensor.diagonal_tensor(3, 2, [-1.0, 1.0]), path)
+        code, out, err = run_cli(capsys, "bounds", str(path), "--op", op, *estimate)
+        assert code == 2
+        assert not out
+        assert err == "error: operation needs at least a B0 tensor, classification is Neither\n"
+
+    def test_negative_steps_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", EX41, "--op", "T", "--estimate", "--steps", "-1")
+        assert code == 2
+        assert not out
+        assert err == "error: ascent_steps must be >= 0, got -1\n"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bound_is_usage_error(self, capsys, tmp_path):
@@ -242,6 +265,17 @@ class TestTcpCommand:
         assert not out
         assert err.startswith("error: vector")
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("bounds", "--starts"), ("bounds", "--tol"), ("bounds", "--seed"), ("verify", "--starts"), ("verify", "--seed")],
+    )
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, command, flag):
+        x = ["--x", "[1,1,1]"] if command == "verify" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["tcp", command, EX41, "--q", "[-1,-1,-1]", *x, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_zero_solution_verify_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "tcp", "verify", EX41, "--q", "[1,1,1]", "--x", "[0,0,0]"
@@ -291,6 +325,37 @@ class TestNonFiniteReport:
         path, value = _non_finite(payload)
         assert path == "a.y[1]" and value == -math.inf
         assert _non_finite({"a": [1.0, 2], "b": None, "c": "nan"}) is None
+
+
+class TestSizeLimit:
+    """A tensor over the entry budget exits 2 naming its size, before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", '{"order": 40, "dim": 2, "entries": []}'],
+            ["classify", '{"order": 40, "dim": 2, "dense": []}'],
+            ["gen", "--m", "40", "--n", "2", "--kind", "random"],
+            ["gen", "--m", "40", "--n", "2", "--kind", "B"],
+        ],
+    )
+    def test_over_the_budget_is_usage_error(self, tmp_path, argv):
+        if argv[0] == "classify":
+            path = tmp_path / "huge.json"
+            path.write_text(argv[1])
+            argv = ["classify", str(path)]
+        run = TestNonFiniteReport.run_module(*argv)
+        assert run.returncode == 2
+        assert not run.stdout
+        assert run.stderr == "error: order 40, dim 2 is 1099511627776 entries, over the limit of 16777216\n"
+
+    def test_order_over_the_axis_limit_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"order": 65, "dim": 1, "entries": []}')
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert not out
+        assert err == "error: order 65 is over numpy's limit of 64 axes\n"
 
 
 class TestGenCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -21,10 +22,37 @@ from btensor import (
     vector_power,
 )
 from btensor import core
-from btensor.core import _BATCH_FLOATS, damped_newton
+from btensor.core import _BATCH_FLOATS, Report, damped_newton
 from btensor.structure import random_tensor, simplex_lattice
 
 from oracles import naive_contract, naive_is_symmetric
+
+
+class TestReport:
+    def test_fields_in_order_with_plain_values(self):
+        @dataclasses.dataclass(frozen=True)
+        class Inner(Report):
+            flags: np.ndarray
+            index: tuple
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer(Report):
+            name: str
+            values: np.ndarray
+            inner: tuple
+            best: Inner
+            missing: object = None
+
+        inner = Inner(flags=np.array([True, False]), index=(1, 2))
+        outer = Outer(name="x", values=np.array([0.5, -0.0]), inner=(inner, inner), best=inner)
+        payload = outer.to_dict()
+        expected_inner = {"flags": [True, False], "index": [1, 2]}
+        assert payload == {
+            "name": "x", "values": [0.5, -0.0], "inner": [expected_inner, expected_inner],
+            "best": expected_inner, "missing": None,
+        }
+        assert list(payload) == ["name", "values", "inner", "best", "missing"]
+        assert type(payload["values"][0]) is float and type(payload["best"]["flags"][0]) is bool
 
 
 class TestTensorType:

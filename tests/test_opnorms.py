@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from btensor import (
     random_b_tensor,
     t_norm_bounds,
 )
-from btensor.opnorms import _normalize_rows
+from btensor.opnorms import _normalize_rows, closed_form_report
 
 INF = math.inf
 
@@ -167,6 +168,31 @@ class TestBoundReport:
         payload = report.to_dict()
         assert payload["norm"] == "inf"
         assert isinstance(payload["estimate_witness"], list)
+        assert list(payload) == [
+            "operator", "norm", "variant", "strict", "general_upper", "b_lower", "b_upper",
+            "empirical_estimate", "estimate_witness",
+        ]
+
+    @pytest.mark.parametrize("operator,p", [("T", INF), ("T", 3.0), ("F", 2.0)])
+    def test_is_the_closed_form_report_with_an_estimate(self, ex42, operator, p):
+        closed = closed_form_report(ex42, operator, p)
+        assert closed.empirical_estimate is None and closed.estimate_witness is None
+        assert closed.to_dict()["norm"] == ("inf" if p == INF else p)
+        full = bound_report(ex42, operator, p, samples=8, ascent_steps=3, seed=4)
+        estimate, witness = estimate_norm(ex42, operator, p, samples=8, ascent_steps=3, seed=4)
+        assert full == replace(closed, empirical_estimate=estimate, estimate_witness=full.estimate_witness)
+        assert np.array_equal(full.estimate_witness, witness)
+
+    def test_closed_form_report_takes_the_variant_from_the_class(self, rng):
+        tensor = random_b0_tensor(4, 3, rng)
+        report = closed_form_report(tensor, "T", 2.0)
+        assert (report.variant, report.strict) == ("B0", False)
+        assert (report.b_lower, report.b_upper) == t_norm_bounds(tensor, 2.0, "B0")
+        assert report.general_upper == general_upper_bound(tensor, "T", 2.0)
+
+    def test_estimate_rejects_negative_steps(self, ex41):
+        with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
+            estimate_norm(ex41, "T", INF, samples=4, ascent_steps=-1)
 
 
 class TestSandwichProperty:
