@@ -8,6 +8,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import numpy as np
 from . import __version__
 
 # Each handler imports the library modules it uses when it runs, so that
-# ``import btensor.cli`` loads no other btensor module.
+# ``import btensor.cli`` loads no other btensor module.  The argument parser
+# is built at the first ``main`` call and reused by every later one.
 
 GOLDEN_TOL = 1e-9
 
@@ -117,8 +119,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
     report = structure.classify(tensor, tol=args.tol)
     payload = report.to_dict()
     if report.verdict != "Neither":
-        diagnostics = structure.membership_diagnostics(tensor, strict=report.verdict == "B")
-        payload["diagnostics"] = diagnostics.to_dict()
+        payload["diagnostics"] = structure.membership_diagnostics(tensor, report.verdict == "B", report).to_dict()
     _emit(payload, f"verdict: {report.verdict}")
     return 0, payload
 
@@ -147,14 +148,7 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     payload = report.to_dict()
     if args.format == "csv":
         fields = [
-            "operator",
-            "norm",
-            "variant",
-            "strict",
-            "general_upper",
-            "b_lower",
-            "b_upper",
-            "empirical_estimate",
+            "operator", "norm", "variant", "strict", "general_upper", "b_lower", "b_upper", "empirical_estimate"
         ]
         print(",".join(fields))
         print(",".join("" if payload[f] is None else str(payload[f]) for f in fields))
@@ -272,11 +266,11 @@ def _paper_claims(seed: int):
     claim("ex41-offdiag-caps", beta_ok, f"beta={report41.beta.tolist()}")
 
     general41 = general_upper_bound(ex41, "T", math.inf)
-    lower41, upper41 = t_norm_bounds(ex41, math.inf, "B")
+    lower41, upper41 = t_norm_bounds(ex41, math.inf, "B", report41)
     ok = abs(upper41 - 54.0) <= GOLDEN_TOL and abs(general41 - 57.0) <= GOLDEN_TOL and upper41 < general41
     claim("ex41-T-inf-upper-tighter", ok, f"b_upper={upper41}, general={general41}")
 
-    _, f_upper41 = f_norm_bounds(ex41, 1.0, "B")
+    _, f_upper41 = f_norm_bounds(ex41, 1.0, "B", report41)
     f_general41 = general_upper_bound(ex41, "F", 1.0)
     claim(
         "ex41-F-1-upper-tighter",
@@ -295,7 +289,7 @@ def _paper_claims(seed: int):
     claim("ex42-row-sums", err <= GOLDEN_TOL, f"max_err={err:.3e}")
 
     for p in (1.0, 2.0, 4.0):
-        _, upper42 = t_norm_bounds(ex42, p, "B")
+        _, upper42 = t_norm_bounds(ex42, p, "B", report42)
         general42 = general_upper_bound(ex42, "T", p)
         floor = 64.0 * 4.0 ** (3.0 / p)
         ok = abs(upper42 - 48.0) <= GOLDEN_TOL and general42 >= floor - GOLDEN_TOL and upper42 < general42
@@ -345,7 +339,9 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
     return (1 if failures else 0), payload
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every ``main`` call; callers must not modify it."""
     parser = argparse.ArgumentParser(prog="btensor", description=__doc__)
     parser.add_argument("--manifest", help="write a run manifest (inputs, seed, payload) to this file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -412,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = ["btensor"] + argv
     if hasattr(args, "seed"):
         args.seed = _default_seed(args.seed)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -111,9 +112,7 @@ class Tensor:
     @property
     def diagonal(self) -> np.ndarray:
         """The n entries with all indices equal."""
-        n, m = self.dim, self.order
-        idx = np.arange(n)
-        return self.array[(idx,) * m]
+        return self.array[(np.arange(self.dim),) * self.order]
 
     @classmethod
     def from_flat(cls, order: int, dim: int, entries, symmetric: bool = False) -> "Tensor":
@@ -130,9 +129,7 @@ class Tensor:
         if order < 2 or dim < 1:
             raise ValueError("need order >= 2 and dim >= 1")
         arr = np.zeros((dim,) * order)
-        vals = np.broadcast_to(np.asarray(values, dtype=float), (dim,))
-        idx = np.arange(dim)
-        arr[(idx,) * order] = vals
+        arr[(np.arange(dim),) * order] = np.broadcast_to(np.asarray(values, dtype=float), (dim,))
         return cls(arr, symmetric=True)
 
     @classmethod
@@ -172,10 +169,9 @@ def contract(tensor: Tensor, x) -> np.ndarray:
     indices of ``a[i, i2, ..., im] * x[i2] * ... * x[im]``.
     """
     v = _as_vector(tensor, x)
-    n = tensor.dim
-    out = tensor.array.reshape(-1, n) @ v
-    for _ in range(tensor.order - 2):
-        out = out.reshape(-1, n) @ v
+    out = tensor.array
+    for _ in range(tensor.order - 1):
+        out = out.reshape(-1, tensor.dim) @ v
     return out
 
 
@@ -224,12 +220,8 @@ def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _shorter_lengths(min_step: float) -> np.ndarray:
     """The line-search lengths after the full step, 1/2, 1/4, ... above ``min_step``, as a read-only column."""
-    lengths = []
-    t = 0.5
-    while t > min_step:
-        lengths.append(t)
-        t *= 0.5
-    column = np.array(lengths).reshape(-1, 1)
+    halves = itertools.takewhile(lambda t: t > min_step, (0.5**k for k in itertools.count(1)))
+    column = np.array(list(halves)).reshape(-1, 1)
     column.flags.writeable = False
     return column
 
@@ -332,8 +324,6 @@ def vector_norm(x, p: float = 2.0) -> float:
     if p < 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     return float(np.linalg.norm(v, ord=p))
-
-
 
 
 def scaled_map(tensor: Tensor, x) -> np.ndarray:

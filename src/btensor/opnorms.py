@@ -86,16 +86,16 @@ def _uniform_witness_value(tensor: Tensor, operator: str, p: float) -> float:
     return float(_row_norms(_MAPS[operator](tensor, witness), p)[0])
 
 
-def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tuple[float, float]:
+def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B", report=None) -> tuple[float, float]:
     """Class-specific bracket for the 2-norm rescaled map.
 
     The lower bound always includes the off-diagonal-cap term; for the
     strict class the map value at the uniform witness (algebraically the
     row-sum term) joins the max and the bracket is strict.  The upper bound
-    uses only the diagonal entries.
+    uses only the diagonal entries.  ``report`` as for :func:`require_membership`.
     """
     p = _check_p(p)
-    beta = require_membership(tensor, variant).beta
+    beta = require_membership(tensor, variant, report).beta
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     if p == math.inf:
@@ -109,17 +109,18 @@ def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     return float(lower), float(upper)
 
 
-def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tuple[float, float]:
+def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B", report=None) -> tuple[float, float]:
     """Class-specific bracket for the componentwise-root map (even order only).
 
     For the max norm the diagonal upper bound is itself weaker than the
     general row-absolute-sum bound, so the reported upper is their minimum.
+    ``report`` as for :func:`require_membership`.
     """
     p = _check_p(p)
     m, n = tensor.order, tensor.dim
     if m % 2:
         raise UnsupportedOrder(f"operator F needs an even order, got {m}")
-    beta = require_membership(tensor, variant).beta
+    beta = require_membership(tensor, variant, report).beta
     diag = tensor.diagonal
     root = 1.0 / (m - 1)
     if p == math.inf:
@@ -232,11 +233,12 @@ def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf) -> No
     """
     _check_operator(operator)
     p = _check_p(p)
-    variant = require_membership(tensor, "B0").verdict  # "B" or "B0"
+    membership = require_membership(tensor, "B0")
+    variant = membership.verdict  # "B" or "B0"
     bracket = t_norm_bounds if operator == "T" else f_norm_bounds
     with np.errstate(over="ignore"):
         general = general_upper_bound(tensor, operator, p)
-        lower, upper = bracket(tensor, p, variant)
+        lower, upper = bracket(tensor, p, variant, membership)
     for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
         if not math.isfinite(value):
             raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")

@@ -103,18 +103,13 @@ def _h_canonical(x: np.ndarray) -> np.ndarray:
 def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
     kept: list[EigenPair] = []
     for pair in sorted(pairs, key=lambda p: (p.value, tuple(p.vector))):
-        duplicate = False
-        for other in kept:
-            if abs(pair.value - other.value) > VALUE_DEDUP_TOL:
-                continue
-            gap = min(
-                float(np.max(np.abs(pair.vector - other.vector))),
-                float(np.max(np.abs(pair.vector + other.vector))),
-            )
-            if gap <= VECTOR_DEDUP_TOL:
-                duplicate = True
-                break
-        if not duplicate:
+        # A duplicate has a close value and a vector close to the kept one or to its negative.
+        if not any(
+            abs(pair.value - other.value) <= VALUE_DEDUP_TOL
+            and min(np.max(np.abs(pair.vector - other.vector)), np.max(np.abs(pair.vector + other.vector)))
+            <= VECTOR_DEDUP_TOL
+            for other in kept
+        ):
             kept.append(pair)
     return kept
 

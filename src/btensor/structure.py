@@ -156,11 +156,12 @@ def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
     )
 
 
-def require_membership(tensor: Tensor, variant: str) -> ClassificationReport:
-    """Check that a tensor belongs to the class named by ``variant`` ("B" or "B0")."""
+def require_membership(tensor: Tensor, variant: str, report=None) -> ClassificationReport:
+    """Check that a tensor belongs to the class named by ``variant`` ("B" or "B0"): by its
+    classification ``report`` when the caller has one, else by classifying it at ``tol = 0``."""
     if variant not in ("B", "B0"):
         raise ValueError(f"variant must be 'B' or 'B0', got {variant!r}")
-    report = classify(tensor)
+    report = classify(tensor) if report is None else report
     if variant == "B" and report.verdict != "B":
         raise ClassificationError(f"operation needs a B tensor, classification is {report.verdict}")
     if variant == "B0" and report.verdict == "Neither":
@@ -195,8 +196,9 @@ class DominanceDiagnostics(Report):
         return super().to_dict() | {"all_hold": self.all_hold()}
 
 
-def membership_diagnostics(tensor: Tensor, strict: bool = True) -> DominanceDiagnostics:
-    report = require_membership(tensor, "B" if strict else "B0")
+def membership_diagnostics(tensor: Tensor, strict: bool = True, report=None) -> DominanceDiagnostics:
+    """Diagnostics of a member of the class ``strict`` names; ``report`` as for :func:`require_membership`."""
+    report = require_membership(tensor, "B" if strict else "B0", report)
     n, m = tensor.dim, tensor.order
     rows = tensor.array.reshape(n, -1)
     diag = tensor.diagonal
@@ -210,19 +212,12 @@ def membership_diagnostics(tensor: Tensor, strict: bool = True) -> DominanceDiag
     neg_sums = np.where(rows < 0, -rows, 0.0).sum(axis=1)
     cap = float(n ** (m - 1)) * report.beta
 
-    if strict:
-        first = diag > max_abs_off
-        second = report.row_sums > cap
-        third = diag > neg_sums
-    else:
-        first = diag >= max_abs_off
-        second = report.row_sums >= cap
-        third = diag >= neg_sums
+    holds = np.greater if strict else np.greater_equal
     return DominanceDiagnostics(
         strict=strict,
-        diag_dominates_offdiag=first,
-        rowsum_exceeds_cap=second,
-        diag_covers_negatives=third,
+        diag_dominates_offdiag=holds(diag, max_abs_off),
+        rowsum_exceeds_cap=holds(report.row_sums, cap),
+        diag_covers_negatives=holds(diag, neg_sums),
     )
 
 
@@ -314,9 +309,6 @@ def random_b_tensor(
         rows[i, diag_pos[i]] = 0.0
         off_sum = rows[i].sum()
         margin = rng.uniform(*margin_range)
-        if dim == 1:
-            rows[i, diag_pos[i]] = margin
-            continue
         off_max = max(0.0, rows[i].max())
         rows[i, diag_pos[i]] = scale * (off_max + margin) - off_sum
     return Tensor(arr)

@@ -6,7 +6,8 @@ Two on-disk forms are accepted:
   flat lexicographic entry order (first index slowest);
 * sparse with a fill value: ``{"order": m, "dim": n, "entries_default": v0,
   "entries": [[[i1, ..., im], value], ...]}`` with 1-based indices, where
-  every position not listed takes ``entries_default``.
+  every position not listed takes ``entries_default``; a position listed
+  more than once takes its last value.
 
 Every entry must be a finite JSON number: NaN, infinities, integers beyond
 the float range, strings and booleans are rejected, and so is a size over
@@ -17,6 +18,7 @@ parse/serialize round trip of a file written here is byte identical.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -73,6 +75,29 @@ def _require_finite(value, what: str) -> float:
     return number
 
 
+def _sparse_arrays(entries: list, order: int, dim: int):
+    """Flat positions and values of the sparse entries, each position once with its last
+    value; None when the list is empty or some entry is malformed."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    indices, values = zip(*entries)
+    if set(map(type, indices)) != {list} or set(map(len, indices)) != {order}:
+        return None
+    parts = set(map(type, itertools.chain.from_iterable(indices)))
+    if parts != {int} or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        index = np.array(indices, dtype=np.int64)
+        value = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the int64 or float range
+        return None
+    if not (((index >= 1) & (index <= dim)).all() and np.isfinite(value).all()):
+        return None
+    flat = np.ravel_multi_index(tuple(index.T - 1), (dim,) * order)
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    return flat[last], value[last]
+
+
 def tensor_from_obj(obj: Any) -> Tensor:
     """Build a :class:`Tensor` from a decoded JSON document."""
     if not isinstance(obj, dict):
@@ -110,14 +135,14 @@ def tensor_from_obj(obj: Any) -> Tensor:
         raise TensorFormatError("'entries' must be a list of [index, value] pairs")
 
     arr = np.full((dim,) * order, default)
+    parsed = _sparse_arrays(entries, order, dim)
+    if parsed is not None:
+        arr.reshape(-1)[parsed[0]] = parsed[1]
+        return Tensor(arr)
+    # No entries, or a malformed one: the checks below run in entry order and name the first bad one.
     for pos, item in enumerate(entries):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], list)
-            or not isinstance(item[1], (int, float))
-            or isinstance(item[1], bool)
-        ):
+        pair = isinstance(item, list) and len(item) == 2 and isinstance(item[0], list)
+        if not (pair and isinstance(item[1], (int, float)) and not isinstance(item[1], bool)):
             raise TensorFormatError(f"entry {pos}: expected [[i1, ..., im], value]")
         index, value = item
         if len(index) != order:

@@ -1,5 +1,6 @@
 """Independent reference computations used to cross-check the library."""
 import itertools
+import math
 
 import numpy as np
 
@@ -120,3 +121,36 @@ def naive_simplex_lattice(resolution, dim):
     """Every integer vector in {0, ..., resolution}^dim summing to ``resolution``, sorted, over ``resolution``."""
     rows = sorted(k for k in itertools.product(range(resolution + 1), repeat=dim) if sum(k) == resolution)
     return np.array(rows, dtype=float).reshape(-1, dim) / resolution
+
+
+def naive_sparse_tensor(order, dim, default, entries):
+    """The sparse form filled one entry at a time, as the reference for ``tensor_from_obj``.
+
+    Returns the (dim,)*order array, or raises ValueError with the message
+    the library gives for the first malformed entry.  A listed position
+    takes the value of its last entry.
+    """
+    arr = np.full((dim,) * order, float(default))
+    for pos, item in enumerate(entries):
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not isinstance(item[0], list)
+            or not isinstance(item[1], (int, float))
+            or isinstance(item[1], bool)
+        ):
+            raise ValueError(f"entry {pos}: expected [[i1, ..., im], value]")
+        index, value = item
+        if len(index) != order:
+            raise ValueError(f"entry {pos}: index needs {order} components, got {len(index)}")
+        for axis, i in enumerate(index):
+            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
+                raise ValueError(f"entry {pos}: index component {axis} must be in 1..{dim}, got {i!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"entry {pos}: value must be a finite number")
+        arr[tuple(i - 1 for i in index)] = number
+    return arr

@@ -40,6 +40,30 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "B0"
 
+    def test_tolerance_verdict_gets_its_diagnostics(self, capsys, tmp_path):
+        # B0 only within the tolerance: at tol 0 the second row sum, -1e-6, makes it Neither.
+        path = tmp_path / "within_tol.json"
+        path.write_text('{"order": 2, "dim": 2, "dense": [1.0, 0.0, 0.0, -0.000001]}')
+        code, out, err = run_cli(capsys, "classify", str(path), "--tol", "1e-3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "B0"
+        assert payload["diagnostics"]["strict"] is False
+        assert payload["diagnostics"]["rowsum_exceeds_cap"] == [True, False]
+        assert err == "verdict: B0\n"
+
+    @pytest.mark.parametrize("path", [EX41, EX42])
+    def test_classifies_once(self, capsys, monkeypatch, path):
+        from btensor import structure
+
+        calls = []
+        classify = structure.classify
+        monkeypatch.setattr(structure, "classify", lambda *a, **k: calls.append(1) or classify(*a, **k))
+        code, out, _ = run_cli(capsys, "classify", path)
+        assert code == 0
+        assert "diagnostics" in json.loads(out)
+        assert len(calls) == 1
+
     def test_non_finite_entry_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"order": 3, "dim": 2, "dense": [1, 0, 0, NaN, 0, 0, 0, 1]}')
@@ -282,6 +306,63 @@ class TestTcpCommand:
         )
         assert code == 2
         assert "nonzero" in err
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process, as a fresh one per call would."""
+
+    Q = ["--q", "[-1,-1,-1]"]
+
+    def run_sequence(self, capsys, monkeypatch, tmp_path):
+        # A B0 matrix whose 2-norm is not attained at a fixed start, so the estimate depends on the seed.
+        matrix, manifest = tmp_path / "matrix.json", tmp_path / "manifest.json"
+        matrix.write_text('{"order": 2, "dim": 2, "dense": [1.0, 1.0, 0.0, 1.0]}')
+        bounds = ["bounds", str(matrix), "--op", "T", "--norm", "p", "--estimate", "--samples", "4", "--steps", "1"]
+        runs = []
+
+        def run(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            runs.append((argv, code, *capsys.readouterr()))
+            return runs[-1]
+
+        run(*bounds, "--seed", "3")
+        monkeypatch.setenv("BTENSOR_SEED", "5")
+        run(*bounds)
+        monkeypatch.delenv("BTENSOR_SEED")
+        run(*bounds)
+        run("bounds", EX41, "--op", "X")
+        run("tcp", "bounds", EX41, *self.Q, "--seed", "1")
+        x = json.loads(run("tcp", "solve", EX41, *self.Q, "--seed", "2")[2])["x"]
+        run("tcp", "verify", EX41, *self.Q, "--x", json.dumps(x))
+        run("tcp", "bounds", EX41, *self.Q)
+        run("--manifest", str(manifest), "tcp", "solve", EX41, *self.Q)
+        recorded = json.loads(manifest.read_text())
+        recorded.pop("wall_clock_ms")  # a timing, different on every run
+        manifest.unlink()
+        run("classify", EX41)  # no --manifest: the last run's must not carry over
+        return runs, recorded, manifest.exists()
+
+    def test_same_outputs_as_a_fresh_parser_per_call(self, capsys, monkeypatch, tmp_path):
+        import btensor.cli as cli
+
+        reused = self.run_sequence(capsys, monkeypatch, tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = self.run_sequence(capsys, monkeypatch, tmp_path)
+        assert reused == fresh
+        runs, recorded, rewritten = reused
+        assert [code for _, code, _, _ in runs] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0]
+        assert runs[0][2] != runs[1][2]  # seed 3, then seed 5 from the environment
+        assert recorded["seed"] == 0 and recorded["command"].startswith("btensor --manifest")
+        assert not rewritten
+
+    def test_parser_is_built_once(self):
+        import btensor.cli as cli
+
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestNonFiniteReport:

@@ -9,6 +9,7 @@ from btensor import (
     Tensor,
     UnsupportedOrder,
     bound_report,
+    classify,
     estimate_norm,
     f_norm_bounds,
     general_upper_bound,
@@ -189,6 +190,29 @@ class TestBoundReport:
         assert (report.variant, report.strict) == ("B0", False)
         assert (report.b_lower, report.b_upper) == t_norm_bounds(tensor, 2.0, "B0")
         assert report.general_upper == general_upper_bound(tensor, "T", 2.0)
+
+    @pytest.mark.parametrize("operator", ["T", "F"])
+    @pytest.mark.parametrize("estimate", [False, True])
+    def test_classifies_once(self, ex41, monkeypatch, operator, estimate):
+        from btensor import structure
+
+        calls = []
+        classify = structure.classify
+        monkeypatch.setattr(structure, "classify", lambda *a, **k: calls.append(1) or classify(*a, **k))
+        if estimate:
+            report = bound_report(ex41, operator, 2.0, samples=4, ascent_steps=2)
+        else:
+            report = closed_form_report(ex41, operator, 2.0)
+        assert report.variant == "B"
+        assert len(calls) == 1
+
+    def test_bracket_reads_a_given_classification(self, rng):
+        tensor = random_b0_tensor(4, 3, rng)
+        membership = classify(tensor)
+        assert t_norm_bounds(tensor, 2.0, "B0", membership) == t_norm_bounds(tensor, 2.0, "B0")
+        assert f_norm_bounds(tensor, INF, "B0", membership) == f_norm_bounds(tensor, INF, "B0")
+        with pytest.raises(ClassificationError):  # the given verdict is still checked
+            t_norm_bounds(tensor, 2.0, "B", membership)
 
     def test_estimate_rejects_negative_steps(self, ex41):
         with pytest.raises(ValueError, match="ascent_steps must be >= 0"):

@@ -46,6 +46,30 @@ def test_cli_import_loads_only_the_cli():
     assert json.loads(out) == ["btensor", "btensor.cli"]
 
 
+def test_cli_parser_is_built_at_the_first_main_call_only():
+    # Counts every argparse parser made (the main parser and its subparsers).
+    out = run_python(
+        "import argparse, contextlib, io, json\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import btensor.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        btensor.cli.main(['gen', '--m', '2', '--n', '1', '--kind', 'diagonal'])\n"
+        "    counts.append(len(made))\n"
+        "print(json.dumps(counts))\n"
+    )
+    before, first, second = json.loads(out)
+    assert before == 0
+    assert first > 0
+    assert second == first
+
+
 def test_every_export_resolves_to_its_home_object():
     out = run_python(
         "import importlib, json\n"

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btensor import Tensor
 from btensor.tensorio import (
@@ -12,6 +15,8 @@ from btensor.tensorio import (
     loads_tensor,
     tensor_from_obj,
 )
+
+from oracles import naive_sparse_tensor
 
 
 def test_dense_form_round_trip(tmp_path):
@@ -107,3 +112,55 @@ def test_dumps_is_valid_json(ex42):
     assert decoded["order"] == 4
     assert decoded["dim"] == 4
     assert len(decoded["dense"]) == 256
+
+
+GOOD_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**1000), 2**1000))
+BAD_PARTS = st.one_of(
+    st.integers(-3, 6), st.booleans(), st.floats(0.0, 4.0), st.sampled_from([2**63, -(2**64), 10**400, "1", None])
+)
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**309)]),
+    st.floats(),
+    st.sampled_from([True, "1.0", None, [1.0]]),
+)
+BAD_ENTRIES = st.one_of(st.just([]), st.tuples(st.just([1, 1]), GOOD_VALUES), st.floats(), st.lists(st.integers(1, 3)))
+
+
+@st.composite
+def sparse_documents(draw):
+    """A sparse document of order 2-4 and dim 1-3 whose entries repeat positions, with up to
+    two entries then given one flaw each: the entry, the index length, an index part or the value."""
+    order, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    index = st.lists(st.integers(1, dim), min_size=order, max_size=order)
+    entries = draw(st.lists(st.tuples(index, GOOD_VALUES).map(list), max_size=12))
+    for pos in draw(st.sets(st.integers(0, len(entries) - 1), max_size=2)) if entries else ():
+        parts, value = list(entries[pos][0]), entries[pos][1]
+        flaw = draw(st.sampled_from(["entry", "length", "part", "value"]))
+        if flaw == "entry":
+            entries[pos] = draw(BAD_ENTRIES)
+            continue
+        if flaw == "length":
+            parts = draw(st.lists(st.integers(1, dim), max_size=order + 2).filter(lambda p: len(p) != order))
+        elif flaw == "part":
+            parts[draw(st.integers(0, order - 1))] = draw(st.one_of(st.sampled_from([0, dim + 1]), BAD_PARTS))
+        else:
+            value = draw(BAD_VALUES)
+        entries[pos] = [parts, value]
+    return {"order": order, "dim": dim, "entries_default": draw(st.floats(-10.0, 10.0)), "entries": entries}
+
+
+@given(doc=sparse_documents())
+@example(doc={"order": 2, "dim": 2, "entries_default": 1.0, "entries": []})
+@example(doc={"order": 2, "dim": 2, "entries": [[[1, 2], 3.0], [[2, 1], 4], [[1, 2], -5.0]]})
+@settings(max_examples=500, deadline=None)
+def test_sparse_form_matches_entry_by_entry_oracle(doc):
+    """The same tensor (the last of repeated positions wins) or the same message for the first bad entry."""
+    order, dim, entries = doc["order"], doc["dim"], doc["entries"]
+    try:
+        expected = naive_sparse_tensor(order, dim, doc.get("entries_default", 0.0), entries)
+    except ValueError as exc:
+        with pytest.raises(TensorFormatError) as raised:
+            tensor_from_obj(doc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert np.array_equal(tensor_from_obj(doc).array, expected)
