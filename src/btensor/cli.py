@@ -169,8 +169,8 @@ def _cmd_eigen(args) -> tuple[int, dict]:
     payload = {"kind": args.kind, "pairs": [pair.to_dict() for pair in pairs]}
     exit_code = 0
     if args.verify_bounds:
-        variant = require_membership(tensor, "B0").verdict
-        report = verify_eigen_bounds(tensor, pairs, variant)
+        membership = require_membership(tensor, "B0")
+        report = verify_eigen_bounds(tensor, pairs, membership.verdict, membership)
         payload["bound_report"] = report.to_dict()
         if not report.all_within:
             exit_code = 1
@@ -301,7 +301,7 @@ def _paper_claims(seed: int):
 
     h_pairs = find_h_eigenpairs(ex41, starts=16, seed=seed)
     z_pairs = find_z_eigenpairs(ex41, starts=16, seed=seed)
-    eigen_report = verify_eigen_bounds(ex41, h_pairs + z_pairs, "B")
+    eigen_report = verify_eigen_bounds(ex41, h_pairs + z_pairs, "B", report41)
     claim(
         "ex41-eigen-bounds",
         eigen_report.all_within and eigen_report.pairs_checked > 0,

@@ -42,8 +42,9 @@ __all__ = [
 # contract_batch takes as many rows at a time as keep its first intermediate
 # (rows * n**(m-1) floats) within this cap, and at least one.
 _BATCH_FLOATS = 1 << 16
-# damped_newton's line search scores at most this many trial points per
-# evaluate call, which bounds its memory on a wide stack.
+# damped_newton's line search fills each evaluate call with up to this many
+# trial points: the next lengths of every row still failing, or one length each
+# when more rows fail, so a call holds no more points than this or the stack.
 _TRIAL_POINTS = 256
 
 
@@ -236,10 +237,12 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     length 1, 1/2, ... above ``min_step`` that lowers its merit, and it stops
     at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
     A round makes one stacked solve (per row, ``lstsq`` where ``solve`` finds
-    the matrix singular) and one ``evaluate`` at length 1 for the active rows;
-    the rows whose full step failed then score all their shorter lengths at
-    once, in calls of at most ``_TRIAL_POINTS`` points.  Returns the last
-    accepted ``(z, g, merit)`` stacks.
+    the matrix singular) and one ``evaluate`` at length 1 for the active rows.
+    The rows whose full step failed then score their shorter lengths in order:
+    each call takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of
+    each of the ``failing`` rows, and a row leaves after the call that holds
+    its first helping length.  Returns the last accepted ``(z, g, merit)``
+    stacks.
     """
     shorter = _shorter_lengths(min_step)
     z, g, merit = evaluate(np.array(z0, dtype=float))
@@ -268,20 +271,19 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
         tz, tg, tm = evaluate(zr + delta)
         helped = tm < mr
         if np.count_nonzero(helped) < len(rows):
-            # Every shorter length of a failed row is scored at once, for a group of rows per
-            # call; the row takes the first length that helps.
-            failed = np.flatnonzero(~helped)
-            group = max(1, _TRIAL_POINTS // max(1, len(shorter)))
-            for lo in range(0, len(failed) if len(shorter) else 0, group):
-                part = failed[lo : lo + group]
-                trial = zr[part, None] + shorter * delta[part, None]
+            failing, at = np.flatnonzero(~helped), 0
+            while failing.size and at < len(shorter):
+                lengths = shorter[at : at + max(1, _TRIAL_POINTS // len(failing))]
+                at += len(lengths)
+                trial = zr[failing, None] + lengths * delta[failing, None]
                 sz, sg, sm = evaluate(trial.reshape(-1, z.shape[1]))
-                helps = sm.reshape(len(part), -1) < mr[part, None]
+                helps = sm.reshape(len(failing), -1) < mr[failing, None]
                 found = helps.any(axis=1)
-                pick = (helps.argmax(axis=1) + len(shorter) * np.arange(len(part)))[found]
-                hit = part[found]
+                pick = (helps.argmax(axis=1) + len(lengths) * np.arange(len(failing)))[found]
+                hit = failing[found]
                 tz[hit], tg[hit], tm[hit] = sz[pick], sg[pick], sm[pick]
                 helped[hit] = True
+                failing = failing[~found]
             # A row that no length helps keeps its point and stops.
             tz = np.where(helped[:, None], tz, zr)
             tg = np.where(helped[:, None], tg, gr)

@@ -8,8 +8,11 @@ multistarts of :func:`core.damped_newton` on that equation with ``x.x = 1``
 a subset of the true pairs; bound verification is falsification style: every
 found pair must land inside the closed-form bounds from the diagonal alone.
 All starts of a search advance together as one stack, each exactly as it
-would alone; the found pairs are then filtered and deduplicated in start
-order.
+would alone; the power iteration keeps only its running starts packed.  The
+converged rows are then canonicalised together and their residuals taken in
+one stacked contraction, bit for bit :func:`h_residual` and
+:func:`z_residual`; the pairs within ``ACCEPT_RESIDUAL`` are deduplicated and
+sorted.
 """
 from __future__ import annotations
 
@@ -78,13 +81,14 @@ class EigenBoundReport(Report):
     h_skipped: bool = False
 
 
-def eigenvalue_bounds(tensor: Tensor, variant: str = "B") -> EigenBoundReport:
+def eigenvalue_bounds(tensor: Tensor, variant: str = "B", report=None) -> EigenBoundReport:
     """Diagonal-only bounds: strict for the strict class, non-strict otherwise.
 
     The H bound ``(sum diag**(1/(m-1)))**(m-1)`` needs an even order; the Z
-    bound ``n**(m/2) * min(max diag, mean diag)`` holds for any order.
+    bound ``n**(m/2) * min(max diag, mean diag)`` holds for any order.  ``report`` as
+    for :func:`require_membership`.
     """
-    require_membership(tensor, variant)
+    require_membership(tensor, variant, report)
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     h_bound = None
@@ -92,12 +96,6 @@ def eigenvalue_bounds(tensor: Tensor, variant: str = "B") -> EigenBoundReport:
         h_bound = float(np.sum(diag ** (1.0 / (m - 1))) ** (m - 1))
     z_bound = float(n ** (m / 2) * min(diag.max(), diag.sum() / n))
     return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B")
-
-
-def _h_canonical(x: np.ndarray) -> np.ndarray:
-    """Rescale to max-norm 1 with the max-attaining component positive."""
-    top = int(np.argmax(np.abs(x)))
-    return x / x[top]
 
 
 def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
@@ -112,6 +110,20 @@ def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
         ):
             kept.append(pair)
     return kept
+
+
+def _accepted_pairs(kind: str, z: np.ndarray, evaluate) -> list[EigenPair]:
+    """The pairs of a stack of canonical (vector, value) rows whose residual, the 2-norm of
+    the eigen-equation part of ``evaluate``'s residual, is within ``ACCEPT_RESIDUAL``,
+    deduplicated and sorted.  The residual is bit for bit ``h_residual``/``z_residual``."""
+    n = z.shape[1] - 1
+    defect = evaluate(z)[1][:, :n]
+    residuals = np.sqrt(_row_dot(defect, defect)).tolist()
+    return _dedup_and_sort([
+        EigenPair(kind=kind, value=value, vector=row[:n], residual=residual)
+        for row, value, residual in zip(z, z[:, n].tolist(), residuals)
+        if residual <= ACCEPT_RESIDUAL
+    ])
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,33 +178,11 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     lam0 = np.zeros(starts)
     np.divide(_row_dot(powers, contract_batch(tensor, x0)), denom, out=lam0, where=denom > 0)
     z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x0, lam0]), *NEWTON_LIMITS)
-    pairs: list[EigenPair] = []
-    for row, value in zip(z, merit):
-        if not value <= NEWTON_LIMITS[1]:
-            continue
-        x, lam = row[:n], float(row[n])
-        if np.max(np.abs(x)) < 1e-12:
-            continue
-        x = _h_canonical(x)
-        residual = h_residual(tensor, lam, x)
-        if residual <= ACCEPT_RESIDUAL:
-            pairs.append(EigenPair(kind="H", value=lam, vector=x, residual=residual))
-    return _dedup_and_sort(pairs)
-
-
-def _z_canonical(value: float, x: np.ndarray, order: int) -> tuple[float, np.ndarray]:
-    """Unit 2-norm with the max-attaining component positive.
-
-    Flipping the vector sign keeps the value for even order and negates it
-    for odd order.
-    """
-    x = x / np.linalg.norm(x)
-    top = int(np.argmax(np.abs(x)))
-    if x[top] < 0:
-        x = -x
-        if order % 2:
-            value = -value
-    return value, x
+    # Canonical vectors: max-norm 1 with the max-attaining component positive.
+    z = z[(merit <= NEWTON_LIMITS[1]) & ~(np.abs(z[:, :n]).max(axis=1) < 1e-12)]
+    x = z[:, :n]
+    x /= np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
+    return _accepted_pairs("H", z, evaluate)
 
 
 def find_z_eigenpairs(
@@ -243,16 +233,18 @@ def find_z_eigenpairs(
         x, values = _shifted_power_iteration(tensor, x, values, alpha)
     mu0 = _row_dot(x, values)
     z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x, mu0]), *NEWTON_LIMITS)
-    pairs: list[EigenPair] = []
-    for row, value in zip(z, merit):
-        x, mu = row[:n], float(row[n])
-        if not value <= NEWTON_LIMITS[1] or float(np.linalg.norm(x)) < 1e-8:
-            continue
-        mu, x = _z_canonical(mu, x, m)
-        residual = z_residual(tensor, mu, x)
-        if residual <= ACCEPT_RESIDUAL:
-            pairs.append(EigenPair(kind="Z", value=mu, vector=x, residual=residual))
-    return _dedup_and_sort(pairs)
+    # Canonical vectors: unit 2-norm with the max-attaining component positive.  Flipping
+    # the sign keeps the value for even order and negates it for odd order.
+    norms = np.sqrt(_row_dot(z[:, :n], z[:, :n]))
+    keep = (merit <= NEWTON_LIMITS[1]) & ~(norms < 1e-8)
+    z = z[keep]
+    x, mu = z[:, :n], z[:, n]
+    x /= norms[keep, None]
+    flip = np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)[:, 0] < 0
+    np.negative(x, out=x, where=flip[:, None])
+    if m % 2:
+        np.negative(mu, out=mu, where=flip)
+    return _accepted_pairs("Z", z, evaluate)
 
 
 def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray, alpha: float):
@@ -265,38 +257,43 @@ def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray, 
     is not finite is dropped.  Returns the iterates and their contractions
     of the kept starts, in start order.
     """
-    x, values = x.copy(), values.copy()
-    direction = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)[:, None]
+    out_x, out_values = x.copy(), values.copy()
+    kept = np.ones(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    direction = np.where(rows % 2 == 0, 1.0, -1.0)[:, None]
     mu_prev = np.full(len(x), np.nan)
     stable = np.zeros(len(x), dtype=int)
-    running = np.arange(len(x))
-    dropped = np.zeros(len(x), dtype=bool)
     for _ in range(10_000):
-        if not running.size:
-            break
-        y = direction[running] * values[running] + alpha * x[running]
+        y = direction * values + alpha * x
         norm_y = np.sqrt(_row_dot(y, y))
-        finite = np.isfinite(norm_y)  # false also where y is not finite
-        dropped[running[~finite]] = True
-        moving = finite & (norm_y != 0)
-        running, y, norm_y = running[moving], y[moving], norm_y[moving]
-        x[running] = y / norm_y[:, None]
-        values[running] = contract_batch(tensor, x[running])
-        mu = _row_dot(x[running], values[running])
-        stable[running] = np.where(np.abs(mu - mu_prev[running]) < 1e-12, stable[running] + 1, 0)
-        mu_prev[running] = mu
-        running = running[stable[running] < 5]
-    return x[~dropped], values[~dropped]
+        # The running starts' states stay packed; a start that stops goes back to the outputs.
+        # isfinite(norm_y) is false also where y is not finite.
+        going = (stable < 5) & np.isfinite(norm_y) & (norm_y != 0)
+        if not going.all():
+            kept[rows[(stable < 5) & ~np.isfinite(norm_y)]] = False
+            out_x[rows[~going]], out_values[rows[~going]] = x[~going], values[~going]
+            rows, direction, mu_prev, stable, x, values, y, norm_y = (
+                part[going] for part in (rows, direction, mu_prev, stable, x, values, y, norm_y)
+            )
+            if not rows.size:
+                break
+        x = y / norm_y[:, None]
+        values = contract_batch(tensor, x)
+        mu = _row_dot(x, values)
+        stable = np.where(np.abs(mu - mu_prev) < 1e-12, stable + 1, 0)
+        mu_prev = mu
+    out_x[rows], out_values[rows] = x, values
+    return out_x[kept], out_values[kept]
 
 
-def verify_eigen_bounds(tensor: Tensor, pairs: list[EigenPair], variant: str = "B") -> EigenBoundReport:
+def verify_eigen_bounds(tensor: Tensor, pairs: list[EigenPair], variant: str = "B", report=None) -> EigenBoundReport:
     """Fill an :class:`EigenBoundReport` against the supplied pairs.
 
     The comparison is strict for the strict class, non-strict otherwise.
     H-pairs supplied at odd order cannot be compared (no H bound exists);
-    they are skipped and flagged.
+    they are skipped and flagged.  ``report`` as for :func:`require_membership`.
     """
-    skeleton = eigenvalue_bounds(tensor, variant)
+    skeleton = eigenvalue_bounds(tensor, variant, report)
     h_values = [abs(p.value) for p in pairs if p.kind == "H"]
     z_values = [abs(p.value) for p in pairs if p.kind == "Z"]
     max_h = max(h_values, default=0.0)

@@ -223,6 +223,18 @@ class TestEigenCommand:
         assert all(p["residual"] <= 1e-8 for p in payload["pairs"])
 
     @pytest.mark.parametrize("kind", ["h", "z"])
+    def test_verify_bounds_classifies_once(self, capsys, monkeypatch, kind):
+        from btensor import structure
+
+        calls = []
+        classify = structure.classify
+        monkeypatch.setattr(structure, "classify", lambda *a, **k: calls.append(1) or classify(*a, **k))
+        code, out, _ = run_cli(capsys, "eigen", EX41, "--kind", kind, "--starts", "4", "--verify-bounds")
+        assert code == 0
+        assert json.loads(out)["bound_report"]["all_within"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["h", "z"])
     def test_starts_below_one_is_usage_error(self, capsys, kind):
         code, out, err = run_cli(capsys, "eigen", EX41, "--kind", kind, "--starts", "-3")
         assert code == 2

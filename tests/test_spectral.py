@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,16 @@ from btensor import (
     find_h_eigenpairs,
     find_z_eigenpairs,
     h_residual,
+    load_example,
     random_b_tensor,
     verify_eigen_bounds,
     z_residual,
 )
-from btensor import spectral
+from btensor import core, spectral
 from btensor.core import contract
 
 from oracles import naive_contract
+from test_solver_golden import _general, _symmetric
 
 
 class TestEigenvalueBounds:
@@ -95,6 +99,70 @@ class TestFindH:
         tensor = Tensor.diagonal_tensor(4, 3, diag_values)
         for pair in find_h_eigenpairs(tensor, starts=32, seed=4):
             assert min(abs(pair.value - d) for d in diag_values) <= 1e-8
+
+    def test_line_search_fills_calls_within_the_point_budget(self, monkeypatch, rng):
+        # Each evaluate call is logged with its points and merits, and each jacobian call with
+        # the round's rows and Newton steps, from which its exact trial points zr + t * delta follow.
+        calls = []
+
+        def spied(evaluate, jacobian, z0, *limits):
+            def logged_evaluate(z):
+                out = evaluate(z)
+                calls.append(("evaluate", z.copy(), out[2].copy()))
+                return out
+
+            def logged_jacobian(z, g):
+                jac = jacobian(z, g)
+                calls.append(("jacobian", z.copy(), _newton_steps(jac, g)))
+                return jac
+
+            return core.damped_newton(logged_evaluate, logged_jacobian, z0, *limits)
+
+        monkeypatch.setattr(spectral, "damped_newton", spied)
+        assert find_h_eigenpairs(random_b_tensor(4, 4, rng), starts=64, seed=3)
+        lengths = core._shorter_lengths(spectral.NEWTON_LIMITS[2])[:, 0]
+        evaluated = [(stack, merits) for kind, stack, merits in calls if kind == "evaluate"]
+        merit_at = {z.tobytes(): merit for stack, merits in evaluated for z, merit in zip(stack, merits)}
+        assert max(len(stack) for stack, _ in evaluated) <= core._TRIAL_POINTS
+        searched = 0
+        for index, (kind, zr, delta) in enumerate(calls):
+            if kind != "jacobian":
+                continue
+            merit = np.array([merit_at[z.tobytes()] for z in zr])
+            failing = list(np.flatnonzero(~(calls[index + 1][2] < merit)))  # after the full step
+            trial_of = {
+                (zr[row] + t * delta[row]).tobytes(): (row, k) for row in failing for k, t in enumerate(lengths)
+            }
+            scored = {row: 0 for row in failing}
+            for _, points, merits in itertools.takewhile(lambda c: c[0] == "evaluate", calls[index + 2 :]):
+                # Every row still failing scores its next lengths, as many as fill the call.
+                width = max(1, core._TRIAL_POINTS // len(failing))
+                expected = [
+                    (row, k) for row in failing for k in range(scored[row], min(scored[row] + width, len(lengths)))
+                ]
+                assert [trial_of[point.tobytes()] for point in points] == expected
+                helps = {row for (row, _), value in zip(expected, merits) if value < merit[row]}
+                for row in failing:
+                    scored[row] = min(scored[row] + width, len(lengths))
+                # A row leaves after the call that holds its first helping length, or after the last length.
+                failing = [row for row in failing if row not in helps and scored[row] < len(lengths)]
+            assert not failing
+            searched += len(scored)
+        assert searched > 64
+
+
+def _newton_steps(jac, g):
+    """damped_newton's Newton steps, solved as it solves them."""
+    try:
+        return np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(g)
+        for r in range(len(g)):
+            try:
+                steps[r] = np.linalg.solve(jac[r], -g[r])
+            except np.linalg.LinAlgError:
+                steps[r] = np.linalg.lstsq(jac[r], -g[r], rcond=None)[0]
+        return steps
 
 
 class TestFindZ:
@@ -200,6 +268,39 @@ class TestVerifyBounds:
         for pair in scaled_pairs:
             assert h_residual(doubled, pair.value, pair.vector) <= 2.0 * 1e-8
         assert verify_eigen_bounds(doubled, scaled_pairs, "B").all_within
+
+
+class TestStackedFilter:
+    """The pairs canonicalised and checked as one stack carry exactly the residuals of
+    ``h_residual``/``z_residual`` and the canonical sign and scale of each kind."""
+
+    TENSORS = {
+        "ex41": lambda: load_example("ex41"),
+        "ex42": lambda: load_example("ex42"),
+        "general3": lambda: _general(31, 3, 3),
+        "general4": lambda: _general(32, 4, 4),
+        "symmetric3": lambda: _symmetric(33, 3, 3),
+    }
+
+    @pytest.mark.parametrize("name", TENSORS)
+    def test_h_pairs(self, name):
+        tensor = self.TENSORS[name]()
+        pairs = find_h_eigenpairs(tensor, starts=32, seed=4)
+        assert pairs
+        for pair in pairs:
+            assert pair.residual == h_residual(tensor, pair.value, pair.vector)
+            top = int(np.argmax(np.abs(pair.vector)))
+            assert np.max(np.abs(pair.vector)) == 1.0 and pair.vector[top] == 1.0
+
+    @pytest.mark.parametrize("name", TENSORS)
+    def test_z_pairs(self, name):
+        tensor = self.TENSORS[name]()
+        pairs = find_z_eigenpairs(tensor, starts=32, seed=4)
+        assert pairs
+        for pair in pairs:
+            assert pair.residual == z_residual(tensor, pair.value, pair.vector)
+            assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0
+            assert abs(float(np.linalg.norm(pair.vector)) - 1.0) <= 1e-12
 
 
 class TestResidualDefinitions:
