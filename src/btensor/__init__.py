@@ -18,12 +18,10 @@ _EXPORTS = {
     "contract": ("core", "contract"),
     "contract_batch": ("core", "contract_batch"),
     "contraction_jacobian": ("core", "contraction_jacobian"),
-    "homogeneous_form": ("core", "homogeneous_form"),
     "is_entry_symmetric": ("core", "is_entry_symmetric"),
     "root_map": ("core", "root_map"),
     "scaled_map": ("core", "scaled_map"),
     "vector_norm": ("core", "vector_norm"),
-    "vector_power": ("core", "vector_power"),
     "load_example": ("datasets", "load_example"),
     "NormBoundReport": ("opnorms", "NormBoundReport"),
     "SandwichViolation": ("opnorms", "SandwichViolation"),

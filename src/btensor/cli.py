@@ -179,8 +179,7 @@ def _cmd_eigen(args) -> tuple[int, dict]:
 
 
 def _cmd_tcp(args) -> tuple[int, dict]:
-    from .tcp import TcpInstance, TcpOutcome, solution_lower_bounds, solve, verify_solution_bounds
-    from .tcp import residual as tcp_residual
+    from .tcp import TcpInstance, outcome_at, solution_lower_bounds, solve, verify_solution_bounds
 
     tensor = _load(args.file)
     q = _parse_vector(args.q, tensor.dim)
@@ -195,12 +194,10 @@ def _cmd_tcp(args) -> tuple[int, dict]:
         payload = certificate.to_dict()
         _emit(payload)
         return 0, payload
-    x = _parse_vector(args.x, tensor.dim)
-    res, w = tcp_residual(instance, x)
-    outcome = TcpOutcome(x=x, w=w, residual=res, converged=res <= args.tol, starts_used=0)
+    outcome = outcome_at(instance, _parse_vector(args.x, tensor.dim), args.tol)
     certificate = verify_solution_bounds(tensor, q, outcome)
     payload = certificate.to_dict()
-    payload["residual"] = res
+    payload["residual"] = outcome.residual
     _emit(payload, f"bounds hold: {certificate.holds}")
     return (0 if certificate.holds else 1), payload
 

@@ -1,17 +1,18 @@
 """Dense hypermatrix arithmetic.
 
 A tensor here is an order-m, dimension-n real hypermatrix stored as a dense
-``(n, ..., n)`` float array.  One kernel, a chain of matrix-vector products
-contracting the last index first, gives :func:`contract` (one vector) and
-:func:`contract_batch` (a ``(k, n)`` batch as a leading axis, any order); a
-batch row equals the single-vector result bit for bit.  On it rest the two
-degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
-(:func:`root_map`); they and :func:`contraction_jacobian` each take one
-vector or a batch.  :func:`damped_newton` is the one Newton driver: it
-advances a stack of starts together, and the H- and Z-eigenpair searches
-and the complementarity solver supply only a batched residual and its
-Jacobian.  :class:`Report` is the base of every result dataclass and gives
-them their one JSON serialiser.
+``(n, ..., n)`` float array and nothing else: its symmetry is read from the
+entries (:func:`is_entry_symmetric`), never declared.  One kernel, a chain
+of matrix-vector products contracting the last index first, gives
+:func:`contract` (one vector) and :func:`contract_batch` (a ``(k, n)`` batch
+as a leading axis, any order); a batch row equals the single-vector result
+bit for bit.  On it rest the two degree-one homogeneous maps ``T``
+(:func:`scaled_map`) and ``F`` (:func:`root_map`); they and
+:func:`contraction_jacobian` each take one vector or a batch.
+:func:`damped_newton` is the one Newton driver: it advances a stack of
+starts together, and the H- and Z-eigenpair searches and the complementarity
+solver supply only a batched residual and its Jacobian.  :class:`Report` is
+the base of every result dataclass and gives them their one JSON serialiser.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ __all__ = [
     "contract_batch",
     "contraction_jacobian",
     "damped_newton",
-    "homogeneous_form",
-    "vector_power",
     "vector_norm",
     "scaled_map",
     "root_map",
@@ -84,9 +83,9 @@ class Tensor:
     index slowest, which is exactly the C-order raveling of the array.
     """
 
-    __slots__ = ("array", "symmetric")
+    __slots__ = ("array",)
 
-    def __init__(self, array, symmetric: bool = False):
+    def __init__(self, array):
         arr = np.array(array, dtype=float)
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be at least 2, got {arr.ndim}")
@@ -95,7 +94,11 @@ class Tensor:
             raise ValueError(f"tensor axes must all have the same positive length, got {arr.shape}")
         arr.flags.writeable = False
         self.array = arr
-        self.symmetric = bool(symmetric)
+
+    @property
+    def symmetric(self) -> bool:
+        """:func:`is_entry_symmetric` of this tensor."""
+        return is_entry_symmetric(self)
 
     @property
     def order(self) -> int:
@@ -116,13 +119,13 @@ class Tensor:
         return self.array[(np.arange(self.dim),) * self.order]
 
     @classmethod
-    def from_flat(cls, order: int, dim: int, entries, symmetric: bool = False) -> "Tensor":
+    def from_flat(cls, order: int, dim: int, entries) -> "Tensor":
         flat = np.asarray(entries, dtype=float).reshape(-1)
         if flat.size != dim**order:
             raise ValueError(
                 f"expected {dim**order} entries for order {order}, dim {dim}, got {flat.size}"
             )
-        return cls(flat.reshape((dim,) * order), symmetric=symmetric)
+        return cls(flat.reshape((dim,) * order))
 
     @classmethod
     def diagonal_tensor(cls, order: int, dim: int, values=1.0) -> "Tensor":
@@ -131,14 +134,14 @@ class Tensor:
             raise ValueError("need order >= 2 and dim >= 1")
         arr = np.zeros((dim,) * order)
         arr[(np.arange(dim),) * order] = np.broadcast_to(np.asarray(values, dtype=float), (dim,))
-        return cls(arr, symmetric=True)
+        return cls(arr)
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "Tensor":
-        return cls(np.zeros((dim,) * order), symmetric=True)
+        return cls(np.zeros((dim,) * order))
 
     def scaled(self, factor: float) -> "Tensor":
-        return Tensor(factor * self.array, symmetric=self.symmetric)
+        return Tensor(factor * self.array)
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim})"
@@ -237,7 +240,8 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     length 1, 1/2, ... above ``min_step`` that lowers its merit, and it stops
     at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
     A round makes one stacked solve (per row, ``lstsq`` where ``solve`` finds
-    the matrix singular) and one ``evaluate`` at length 1 for the active rows.
+    the matrix singular, or a NaN step, which stops the row, where that
+    system is not finite) and one ``evaluate`` at length 1 for the active rows.
     The rows whose full step failed then score their shorter lengths in order:
     each call takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of
     each of the ``failing`` rows, and a row leaves after the call that holds
@@ -267,7 +271,9 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
                 try:
                     delta[r] = np.linalg.solve(jac[r], -gr[r])
                 except np.linalg.LinAlgError:
-                    delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0]
+                    # lstsq never returns on a non-finite system; a NaN step stops the row.
+                    finite = np.isfinite(jac[r]).all() and np.isfinite(gr[r]).all()
+                    delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0] if finite else np.nan
         tz, tg, tm = evaluate(zr + delta)
         helped = tm < mr
         if np.count_nonzero(helped) < len(rows):
@@ -292,27 +298,6 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
         going = helped & (mr > tol)
     z[rows], g[rows], merit[rows] = zr, gr, mr
     return z, g, merit
-
-
-def homogeneous_form(tensor: Tensor, x) -> float:
-    """Degree-m polynomial value ``x . contract(tensor, x)``."""
-    v = _as_vector(tensor, x)
-    return float(np.dot(v, contract(tensor, v)))
-
-
-def vector_power(x, exponent: float) -> np.ndarray:
-    """Componentwise power.
-
-    Integer exponents apply the plain signed power (odd powers keep the
-    sign).  Non-integer exponents require nonnegative components.
-    """
-    v = np.asarray(x, dtype=float)
-    r = float(exponent)
-    if r.is_integer():
-        return v ** int(r)
-    if np.any(v < 0):
-        raise ValueError(f"negative component with non-integer exponent {r}")
-    return v**r
 
 
 def vector_norm(x, p: float = 2.0) -> float:

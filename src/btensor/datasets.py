@@ -1,9 +1,10 @@
 """Bundled example tensors.
 
-Two small symmetric strict-class tensors ship with the package: ``ex41``
-(order 4, dimension 3) and ``ex42`` (order 4, dimension 4).  Both are
-written in the sparse-with-default JSON form and exercise every bound in
-the library at desk scale.
+Two small strict-class tensors ship with the package: ``ex41`` (order 4,
+dimension 3) and ``ex42`` (order 4, dimension 4).  Both are written in the
+sparse-with-default JSON form, load like any tensor file, and exercise every
+bound in the library at desk scale.  Their entries are symmetric, which
+``Tensor.symmetric`` reads from them.
 """
 from __future__ import annotations
 
@@ -24,6 +25,4 @@ def example_path(name: str):
 
 
 def load_example(name: str) -> Tensor:
-    text = example_path(name).read_text(encoding="utf-8")
-    tensor = loads_tensor(text)
-    return Tensor(tensor.array, symmetric=True)
+    return loads_tensor(example_path(name).read_text(encoding="utf-8"))

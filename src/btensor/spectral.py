@@ -10,9 +10,9 @@ found pair must land inside the closed-form bounds from the diagonal alone.
 All starts of a search advance together as one stack, each exactly as it
 would alone; the power iteration keeps only its running starts packed.  The
 converged rows are then canonicalised together and their residuals taken in
-one stacked contraction, bit for bit :func:`h_residual` and
-:func:`z_residual`; the pairs within ``ACCEPT_RESIDUAL`` are deduplicated and
-sorted.
+one stacked contraction; the pairs within ``ACCEPT_RESIDUAL`` are deduplicated
+and sorted.  Each kind has one stacked defect of its equation, which the
+Newton residual, this filter and :func:`h_residual`/:func:`z_residual` share.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
-    contract,
     contract_batch,
     contraction_jacobian,
     damped_newton,
@@ -58,15 +57,31 @@ class EigenPair(Report):
     residual: float
 
 
+def _h_defect(tensor: Tensor, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``contract(A, x) - lam * x**(m-1)`` per row of a (k, n) stack x with (k,) values lam."""
+    return contract_batch(tensor, x) - lam[:, None] * x ** (tensor.order - 1)
+
+
+def _z_defect(tensor: Tensor, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``contract(A, x) - mu * x * (x.x)**((m-2)/2)`` per row of a (k, n) stack x with (k,) values mu."""
+    s = _row_power(_row_dot(x, x), (tensor.order - 2) / 2)
+    return contract_batch(tensor, x) - mu[:, None] * x * s[:, None]
+
+
+def _residual(defect, tensor: Tensor, value: float, x) -> float:
+    """2-norm of ``defect`` at one vector x with its value."""
+    d = defect(tensor, np.asarray(x, dtype=float)[None], np.array([float(value)]))
+    return float(np.sqrt(_row_dot(d, d))[0])
+
+
 def h_residual(tensor: Tensor, value: float, x: np.ndarray) -> float:
     """2-norm defect of the componentwise-power eigen equation."""
-    return float(np.linalg.norm(contract(tensor, x) - value * x ** (tensor.order - 1)))
+    return _residual(_h_defect, tensor, value, x)
 
 
 def z_residual(tensor: Tensor, value: float, x: np.ndarray) -> float:
     """2-norm defect of the unit-sphere eigen equation."""
-    s = float(x @ x) ** ((tensor.order - 2) / 2)
-    return float(np.linalg.norm(contract(tensor, x) - value * x * s))
+    return _residual(_z_defect, tensor, value, x)
 
 
 @dataclass(frozen=True)
@@ -112,13 +127,12 @@ def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
     return kept
 
 
-def _accepted_pairs(kind: str, z: np.ndarray, evaluate) -> list[EigenPair]:
+def _accepted_pairs(kind: str, tensor: Tensor, z: np.ndarray, defect) -> list[EigenPair]:
     """The pairs of a stack of canonical (vector, value) rows whose residual, the 2-norm of
-    the eigen-equation part of ``evaluate``'s residual, is within ``ACCEPT_RESIDUAL``,
-    deduplicated and sorted.  The residual is bit for bit ``h_residual``/``z_residual``."""
-    n = z.shape[1] - 1
-    defect = evaluate(z)[1][:, :n]
-    residuals = np.sqrt(_row_dot(defect, defect)).tolist()
+    their ``defect``, is within ``ACCEPT_RESIDUAL``, deduplicated and sorted."""
+    n = tensor.dim
+    d = defect(tensor, z[:, :n], z[:, n])
+    residuals = np.sqrt(_row_dot(d, d)).tolist()
     return _dedup_and_sort([
         EigenPair(kind=kind, value=value, vector=row[:n], residual=residual)
         for row, value, residual in zip(z, z[:, n].tolist(), residuals)
@@ -156,9 +170,9 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     diag = np.arange(n)
 
     def evaluate(z):
-        x, lam = z[:, :n], z[:, n]
+        x = z[:, :n]
         g = np.empty_like(z)
-        g[:, :n] = contract_batch(tensor, x) - lam[:, None] * x ** (m - 1)
+        g[:, :n] = _h_defect(tensor, x, z[:, n])
         g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
         return z, g, np.sqrt(_row_dot(g, g))
 
@@ -182,36 +196,26 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     z = z[(merit <= NEWTON_LIMITS[1]) & ~(np.abs(z[:, :n]).max(axis=1) < 1e-12)]
     x = z[:, :n]
     x /= np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
-    return _accepted_pairs("H", z, evaluate)
+    return _accepted_pairs("H", tensor, z, _h_defect)
 
 
-def find_z_eigenpairs(
-    tensor: Tensor,
-    shift: float | str = "auto",
-    starts: int = DEFAULT_STARTS,
-    seed: int = 0,
-) -> list[EigenPair]:
+def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 0) -> list[EigenPair]:
     """Multistart Z-pair search, deduplicated and sorted.
 
-    Symmetric input runs a shifted power iteration (the shift
-    ``1 + sum |entries|`` forces monotone convergence) followed by a short
-    Newton polish; non-symmetric input goes straight to the Newton
-    formulation.  Returned vectors have unit 2-norm and residual at most
-    ``ACCEPT_RESIDUAL``.
+    Input whose entries are symmetric (:func:`is_entry_symmetric`) runs a
+    shifted power iteration followed by a short Newton polish; other input
+    goes straight to the Newton formulation.  Returned vectors have unit
+    2-norm and residual at most ``ACCEPT_RESIDUAL``.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
-    symmetric = tensor.symmetric or is_entry_symmetric(tensor)
-    alpha = 1.0 + float(np.abs(tensor.entries).sum()) if shift == "auto" else float(shift)
 
     def evaluate(z):
-        x, mu = z[:, :n], z[:, n]
-        sq = _row_dot(x, x)
-        s = _row_power(sq, (m - 2) / 2)
+        x = z[:, :n]
         g = np.empty_like(z)
-        g[:, :n] = contract_batch(tensor, x) - mu[:, None] * x * s[:, None]
-        g[:, n] = 0.5 * (sq - 1.0)
+        g[:, :n] = _z_defect(tensor, x, z[:, n])
+        g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
         return z, g, np.sqrt(_row_dot(g, g))
 
     def jacobian(z, g):
@@ -229,8 +233,8 @@ def find_z_eigenpairs(
 
     x = _unit_starts(np.random.default_rng(seed), starts, n)
     values = contract_batch(tensor, x)
-    if symmetric:
-        x, values = _shifted_power_iteration(tensor, x, values, alpha)
+    if is_entry_symmetric(tensor):
+        x, values = _shifted_power_iteration(tensor, x, values)
     mu0 = _row_dot(x, values)
     z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x, mu0]), *NEWTON_LIMITS)
     # Canonical vectors: unit 2-norm with the max-attaining component positive.  Flipping
@@ -244,19 +248,21 @@ def find_z_eigenpairs(
     np.negative(x, out=x, where=flip[:, None])
     if m % 2:
         np.negative(mu, out=mu, where=flip)
-    return _accepted_pairs("Z", z, evaluate)
+    return _accepted_pairs("Z", tensor, z, _z_defect)
 
 
-def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray, alpha: float):
+def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray):
     """SS-HOPM (Kolda & Mayo 2011) on a stack of unit starts whose contractions are ``values``.
 
-    Even-indexed starts ascend and odd-indexed ones descend, so pairs at both
-    ends of the spectrum are reachable.  A start stops when its iterate
-    update is zero or its value has moved by less than 1e-12 on five rounds
-    in a row, and after 10 000 rounds at most; one whose update or its norm
-    is not finite is dropped.  Returns the iterates and their contractions
-    of the kept starts, in start order.
+    The shift ``1 + sum |entries|`` forces monotone convergence.  Even-indexed
+    starts ascend and odd-indexed ones descend, so pairs at both ends of the
+    spectrum are reachable.  A start stops when its iterate update is zero or
+    its value has moved by less than 1e-12 on five rounds in a row, and after
+    10 000 rounds at most; one whose update or its norm is not finite is
+    dropped.  Returns the iterates and their contractions of the kept starts,
+    in start order.
     """
+    alpha = 1.0 + float(np.abs(tensor.entries).sum())
     out_x, out_values = x.copy(), values.copy()
     kept = np.ones(len(x), dtype=bool)
     rows = np.arange(len(x))

@@ -50,11 +50,7 @@ class ClassificationError(ValueError):
 
 def _diag_flat_positions(order: int, dim: int) -> np.ndarray:
     """Flat position of the all-equal-index entry inside each length n**(m-1) row."""
-    if dim == 1:
-        return np.zeros(1, dtype=int)
-    # sum_{k=0}^{m-2} i * dim**k
-    stride = (dim ** (order - 1) - 1) // (dim - 1)
-    return stride * np.arange(dim)
+    return np.ravel_multi_index((np.arange(dim),) * (order - 1), (dim,) * (order - 1))
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,9 @@ def row_profile(tensor: Tensor) -> RowProfile:
     n, m = tensor.dim, tensor.order
     rows = tensor.array.reshape(n, -1)
     row_sums = rows.sum(axis=1)
-    if n == 1:
-        max_off = np.full(1, -math.inf)
-    else:
-        masked = rows.copy()
-        masked[np.arange(n), _diag_flat_positions(m, n)] = -math.inf
-        max_off = masked.max(axis=1)
+    masked = rows.copy()
+    masked[np.arange(n), _diag_flat_positions(m, n)] = -math.inf
+    max_off = masked.max(axis=1)
     beta = np.maximum(max_off, 0.0)
     return RowProfile(row_sums=row_sums, max_offdiag=max_off, beta=beta)
 
@@ -104,12 +97,10 @@ class ClassificationReport(Report):
         return payload
 
 
-def _offending_index(tensor: Tensor, row: int) -> Optional[tuple[int, ...]]:
+def _offending_index(tensor: Tensor, row: int) -> tuple[int, ...]:
     """1-based index of the largest off-diagonal entry of the row."""
     n, m = tensor.dim, tensor.order
     flat = tensor.array.reshape(n, -1)[row].copy()
-    if n == 1:
-        return None
     flat[_diag_flat_positions(m, n)[row]] = -math.inf
     pos = int(np.argmax(flat))
     index = np.unravel_index(pos, (n,) * (m - 1))
@@ -203,12 +194,9 @@ def membership_diagnostics(tensor: Tensor, strict: bool = True, report=None) -> 
     rows = tensor.array.reshape(n, -1)
     diag = tensor.diagonal
 
-    if n == 1:
-        max_abs_off = np.zeros(1)
-    else:
-        abs_rows = np.abs(rows)
-        abs_rows[np.arange(n), _diag_flat_positions(m, n)] = 0.0
-        max_abs_off = abs_rows.max(axis=1)
+    abs_rows = np.abs(rows)
+    abs_rows[np.arange(n), _diag_flat_positions(m, n)] = 0.0
+    max_abs_off = abs_rows.max(axis=1)
     neg_sums = np.where(rows < 0, -rows, 0.0).sum(axis=1)
     cap = float(n ** (m - 1)) * report.beta
 

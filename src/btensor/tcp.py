@@ -28,7 +28,6 @@ from .core import (
     contraction_jacobian,
     damped_newton,
     vector_norm,
-    vector_power,
 )
 from .structure import require_membership
 
@@ -37,6 +36,7 @@ __all__ = [
     "TcpOutcome",
     "SolutionBoundCertificate",
     "residual",
+    "outcome_at",
     "solve",
     "solution_lower_bounds",
     "verify_solution_bounds",
@@ -77,6 +77,14 @@ def residual(instance: TcpInstance, x) -> tuple[float, np.ndarray]:
     x = np.asarray(x, dtype=float)
     w = instance.q + contract(instance.tensor, x)
     return float(np.max(np.abs(np.minimum(x, w)))), w
+
+
+def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> TcpOutcome:
+    """The :class:`TcpOutcome` of the point x: its residual and slack, converged when the
+    residual is within ``tol``."""
+    res, w = residual(instance, x)
+    x = np.asarray(x, dtype=float)
+    return TcpOutcome(x=x, w=w, residual=res, converged=res <= tol, starts_used=starts_used)
 
 
 def _face_recovery(instance: TcpInstance, x: np.ndarray):
@@ -162,7 +170,7 @@ def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: floa
 def _start_points(instance: TcpInstance, starts: int, seed: int):
     """The starts, made as they are asked for: 0.5, 1 and 2 times the base point, then seeded draws."""
     tensor, q = instance.tensor, instance.q
-    base = vector_power(np.maximum(-q, 0.0), 1.0 / (tensor.order - 1))
+    base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
     yield from [0.5 * base, base, 2.0 * base][:starts]
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(base.max(initial=0.0))
@@ -193,9 +201,7 @@ def solve(
             break
         if best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
             best = (x, res)
-    x, res = best
-    w = instance.q + contract(instance.tensor, x)
-    return TcpOutcome(x=x, w=w, residual=res, converged=res <= tol, starts_used=used)
+    return outcome_at(instance, best[0], tol, used)
 
 
 @dataclass(frozen=True)

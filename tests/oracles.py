@@ -31,6 +31,12 @@ def naive_is_symmetric(array):
     return True
 
 
+def naive_diag_flat_positions(order, dim):
+    """Place of (i, ..., i) among a row's index tuples, listed in lexicographic order."""
+    tuples = list(itertools.product(range(dim), repeat=order - 1))
+    return [tuples.index((i,) * (order - 1)) for i in range(dim)]
+
+
 def naive_row_sums(tensor):
     m, n = tensor.order, tensor.dim
     arr = tensor.array

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +18,17 @@ from btensor import (
     contract,
     contract_batch,
     contraction_jacobian,
-    homogeneous_form,
     is_entry_symmetric,
     root_map,
     scaled_map,
     vector_norm,
-    vector_power,
 )
 from btensor import core
 from btensor.core import _BATCH_FLOATS, Report, damped_newton
-from btensor.structure import random_tensor, simplex_lattice
+from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
 from oracles import naive_contract, naive_is_symmetric
+from test_solver_golden import _general, _symmetric
 
 
 class TestReport:
@@ -86,6 +89,23 @@ class TestTensorType:
         assert is_entry_symmetric(ex41)
         lopsided = Tensor.from_flat(2, 2, [0.0, 1.0, 2.0, 3.0])
         assert not is_entry_symmetric(lopsided)
+
+    def test_symmetric_is_read_from_the_entries(self, ex41, ex42, rng):
+        symmetric = [
+            Tensor.diagonal_tensor(4, 3, [1.0, -2.0, 3.0]), Tensor.zeros(3, 2),
+            _symmetric(14, 4, 3).scaled(-0.5), ex41, ex42, _symmetric(13, 3, 3),
+        ]
+        general = [random_b_tensor(4, 3, rng), _general(11, 3, 3), _general(12, 4, 2)]
+        assert all(t.symmetric is True for t in symmetric)
+        assert all(t.symmetric is False for t in general)
+
+    def test_symmetry_cannot_be_declared(self):
+        with pytest.raises(TypeError):
+            Tensor(np.eye(2), symmetric=True)
+        with pytest.raises(TypeError):
+            Tensor.from_flat(2, 2, [0.0, 1.0, 2.0, 3.0], symmetric=True)
+        with pytest.raises(AttributeError):
+            Tensor.zeros(2, 2).symmetric = False
 
     @pytest.mark.parametrize("order,dim", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
     def test_symmetry_check_matches_permutation_oracle(self, order, dim, rng):
@@ -266,6 +286,35 @@ class TestDampedNewton:
         assert all(merit[k] <= self.LIMITS[1] for k in (4, 5, 6))
         np.testing.assert_allclose(np.abs(z[4:]), 1.0, rtol=1e-12)
 
+    def test_non_finite_singular_system_takes_a_nan_step(self, monkeypatch):
+        # lstsq is not called on a non-finite system: the row's step is NaN, so it stops.
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq called"))
+        steps = []
+
+        def evaluate(z):
+            steps.append(z.copy())
+            return z, z + 1.0, np.abs(z + 1.0)[:, 0]
+
+        def jacobian(z, g):
+            return np.array([[[np.inf, 0.0], [0.0, 0.0]]])  # singular and not finite
+
+        start = np.array([[1.0, 0.0]])
+        z, g, merit = damped_newton(evaluate, jacobian, start, *self.LIMITS)
+        assert np.array_equal(z, start) and merit.tolist() == [2.0]
+        assert len(steps) > 1 and all(np.isnan(trial).all() for trial in steps[1:])
+
+    def test_h_search_on_extreme_diagonal_returns(self):
+        # np.linalg.lstsq never returned on this search's non-finite Jacobian (LAPACK reports
+        # an illegal DLASCL parameter and keeps running), so it runs in a process of its own.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "from btensor import Tensor, find_h_eigenpairs\n"
+            "print(find_h_eigenpairs(Tensor.diagonal_tensor(4, 2, [1e308, -1e308]), starts=5, seed=1))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0 and run.stdout == "[]\n"
+
     def test_equal_merit_is_no_progress(self):
         # Projected onto z >= 0, the step from 0 along -1 lands back on 0 at every length.
         calls = []
@@ -294,39 +343,6 @@ class TestDampedNewton:
         z, g, merit = damped_newton(evaluate, self.jacobian, np.zeros((0, 2)), *self.LIMITS)
         assert z.shape == g.shape == (0, 2) and merit.shape == (0,)
         assert calls == [0]  # no rounds on an empty stack
-
-
-class TestHomogeneousForm:
-    def test_diagonal_unit(self):
-        t = Tensor.diagonal_tensor(4, 2)
-        assert homogeneous_form(t, np.ones(2)) == 2.0
-
-    def test_bundled_example_total(self, ex41):
-        assert abs(homogeneous_form(ex41, np.ones(3)) - 167.0) <= 1e-9
-
-    def test_zero_vector(self, ex41):
-        assert homogeneous_form(ex41, np.zeros(3)) == 0.0
-
-    def test_equals_dot_with_contraction(self, rng):
-        tensor = random_tensor(3, 4, rng)
-        x = rng.uniform(-1.0, 1.0, 4)
-        assert homogeneous_form(tensor, x) == float(np.dot(x, contract(tensor, x)))
-
-
-class TestVectorPower:
-    def test_square_root(self):
-        np.testing.assert_allclose(vector_power([4.0, 9.0], 0.5), [2.0, 3.0])
-
-    def test_odd_power_keeps_sign(self):
-        np.testing.assert_allclose(vector_power([2.0, -3.0], 3), [8.0, -27.0])
-
-    @pytest.mark.parametrize("r", [0.5, 2, 3, 7.5])
-    def test_ones_fixed_point(self, r):
-        np.testing.assert_array_equal(vector_power(np.ones(5), r), np.ones(5))
-
-    def test_negative_with_fractional_exponent_rejected(self):
-        with pytest.raises(ValueError, match="non-integer exponent"):
-            vector_power([1.0, -1.0], 0.5)
 
 
 class TestVectorNorm:

@@ -3,8 +3,8 @@
 ``tests/data/eigen_stack_golden.json`` holds, in ``float.hex`` form, every
 value, vector and residual that ``find_h_eigenpairs`` and
 ``find_z_eigenpairs`` return at 64 starts on ex41 and ex42 (read from their
-JSON without the symmetric flag, so the search detects the symmetry) and on
-one general and one symmetric dimension-4 member.  At 64 starts the line
+JSON, so the search reads their symmetry from the entries) and on one
+general and one symmetric dimension-4 member.  At 64 starts the line
 search fills its calls with many failing rows and the symmetric inputs run
 long shifted power iterations, which the 16-start fixture of
 ``test_solver_golden.py`` rarely does.  The file is the stdout of
@@ -27,7 +27,6 @@ def eigen_outputs() -> dict:
     tensors = {name: loads_tensor(example_path(name).read_text(encoding="utf-8")) for name in ("ex41", "ex42")}
     tensors["general4"] = _general(21, 4, 4)
     tensors["symmetric4"] = _symmetric(22, 4, 4)
-    assert not any(tensor.symmetric for tensor in tensors.values())
     assert not is_entry_symmetric(tensors["general4"])
     assert all(is_entry_symmetric(tensors[name]) for name in ("ex41", "ex42", "symmetric4"))
     out = {}

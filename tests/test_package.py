@@ -4,6 +4,7 @@
 load when a name from them is first read.  Each check runs in a fresh
 interpreter, where nothing has been imported yet.
 """
+import ast
 import json
 import os
 import subprocess
@@ -20,11 +21,11 @@ EXPORTS = [
     "TensorFormatError", "UnsupportedOrder", "bound_report", "boundedness_probe", "classify",
     "contract", "contract_batch", "contraction_jacobian", "dump_tensor", "dumps_tensor",
     "eigenvalue_bounds", "estimate_norm", "f_norm_bounds", "find_h_eigenpairs", "find_z_eigenpairs",
-    "general_upper_bound", "h_residual", "homogeneous_form", "is_entry_symmetric", "load_example",
+    "general_upper_bound", "h_residual", "is_entry_symmetric", "load_example",
     "load_tensor", "loads_tensor", "membership_diagnostics", "random_b0_tensor", "random_b_tensor",
     "random_tensor", "root_map", "row_profile", "scaled_map", "semipositivity_certificate",
     "simplex_lattice", "solution_lower_bounds", "t_norm_bounds", "tcp_residual", "tcp_solve",
-    "tensor_from_obj", "tensor_to_obj", "vector_norm", "vector_power", "verify_eigen_bounds",
+    "tensor_from_obj", "tensor_to_obj", "vector_norm", "verify_eigen_bounds",
     "verify_solution_bounds", "z_residual",
 ]
 SUBMODULES = ["cli", "core", "datasets", "opnorms", "spectral", "structure", "tcp", "tensorio"]
@@ -112,3 +113,19 @@ def test_unknown_name_is_attribute_error():
         "    print(exc)\n"
     )
     assert "no_such_name" in out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(SRC, "btensor").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -14,9 +14,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from btensor import Tensor, find_h_eigenpairs, find_z_eigenpairs, is_entry_symmetric, load_example
-from btensor.tcp import TcpInstance, boundedness_probe, solve
+from btensor.tcp import DEFAULT_TOL, TcpInstance, boundedness_probe, outcome_at, solve
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "solver_golden.json"
 
@@ -61,6 +62,15 @@ def _outcome(outcome):
     }
 
 
+def tcp_cases() -> dict:
+    """name -> (tensor, q, seed) of the TCP solves."""
+    return {
+        "converged": (_general(11, 3, 3), [-1.0, 0.5, -0.25], 0),
+        "face_recovery": (_general(1, 4, 3), [0.66, -0.18, 0.1], 0),
+        "no_solution": (Tensor.diagonal_tensor(3, 2, [-1.0, -2.0]), [-1.0, -1.0], 0),
+    }
+
+
 def solver_outputs() -> dict:
     tensors = {
         "general3": _general(11, 3, 3),
@@ -74,12 +84,7 @@ def solver_outputs() -> dict:
     for name, tensor in tensors.items():
         out[f"h/{name}"] = _pairs(find_h_eigenpairs(tensor, starts=16, seed=5))
         out[f"z/{name}"] = _pairs(find_z_eigenpairs(tensor, starts=16, seed=5))
-    tcp_cases = {
-        "converged": (tensors["general3"], [-1.0, 0.5, -0.25], 0),
-        "face_recovery": (_general(1, 4, 3), [0.66, -0.18, 0.1], 0),
-        "no_solution": (Tensor.diagonal_tensor(3, 2, [-1.0, -2.0]), [-1.0, -1.0], 0),
-    }
-    for name, (tensor, q, seed) in tcp_cases.items():
+    for name, (tensor, q, seed) in tcp_cases().items():
         out[f"tcp/{name}"] = _outcome(solve(TcpInstance(tensor, q), starts=4, seed=seed))
     ex41 = load_example("ex41")
     out["probe/ex41"] = boundedness_probe(ex41, [-1.0, 0.5, -2.0], starts=4, seed=2)
@@ -95,6 +100,14 @@ def test_solver_outputs_match_golden():
         assert outputs[key] == golden[key], key
     assert all(golden[f"{kind}/{name}"] for kind in "hz" for name in ("general3", "symmetric4"))
     assert golden["tcp/converged"]["converged"] and not golden["tcp/no_solution"]["converged"]
+
+
+@pytest.mark.parametrize("name", ["converged", "face_recovery", "no_solution"])
+def test_solve_reports_the_outcome_at_its_point(name):
+    tensor, q, seed = tcp_cases()[name]
+    instance = TcpInstance(tensor, q)
+    out = solve(instance, starts=4, seed=seed)
+    assert _outcome(outcome_at(instance, out.x, DEFAULT_TOL, out.starts_used)) == _outcome(out)
 
 
 if __name__ == "__main__":

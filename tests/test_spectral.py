@@ -189,11 +189,6 @@ class TestFindZ:
             defect = naive_contract(tensor, pair.vector) - pair.value * pair.vector
             assert float(np.linalg.norm(defect)) <= 1e-8
 
-    def test_explicit_shift_matches_auto_on_symmetric_input(self, ex41):
-        auto = find_z_eigenpairs(ex41, starts=8, seed=9)
-        manual = find_z_eigenpairs(ex41, shift=1.0 + float(np.abs(ex41.entries).sum()), starts=8, seed=9)
-        assert [p.value for p in auto] == [p.value for p in manual]
-
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("order", [2, 3])
     def test_zero_iterate_start_is_dropped(self, order):
@@ -207,9 +202,8 @@ class TestFindZ:
         # The shift 1 + sum |entries| is inf, so every update is non-finite and its start is
         # dropped after one round instead of running all 10 000 on NaN.
         calls = []
-        for name in ("contract", "contract_batch"):
-            kernel = getattr(spectral, name)
-            monkeypatch.setattr(spectral, name, lambda *a, kernel=kernel: calls.append(1) or kernel(*a))
+        kernel = spectral.contract_batch
+        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
         assert find_z_eigenpairs(Tensor.diagonal_tensor(3, 2, [1e308, 1e308]), starts=4) == []
         assert len(calls) <= 4
 

@@ -15,8 +15,9 @@ from btensor import (
     semipositivity_certificate,
     simplex_lattice,
 )
+from btensor.structure import _diag_flat_positions
 
-from oracles import naive_row_sums, naive_simplex_lattice
+from oracles import naive_diag_flat_positions, naive_row_sums, naive_simplex_lattice
 
 
 class TestRowProfile:
@@ -33,6 +34,12 @@ class TestRowProfile:
         profile = row_profile(Tensor.diagonal_tensor(order, dim))
         np.testing.assert_array_equal(profile.row_sums, np.ones(dim))
         np.testing.assert_array_equal(profile.beta, np.zeros(dim))
+
+    def test_diag_flat_positions_match_oracle(self):
+        # Every (order, dim) the suite builds, dimension 1 at every order included.
+        shapes = [(m, n) for m in range(2, 7) for n in range(1, 10)] + [(26, 1)]
+        for order, dim in shapes:
+            assert _diag_flat_positions(order, dim).tolist() == naive_diag_flat_positions(order, dim), (order, dim)
 
     def test_row_sums_match_oracle(self, rng):
         tensor = Tensor(rng.uniform(-1, 1, size=(3,) * 4))
