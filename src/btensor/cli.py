@@ -204,8 +204,7 @@ def _cmd_tcp(args) -> tuple[int, dict]:
 
 def _cmd_gen(args) -> tuple[int, dict]:
     from .core import Tensor
-    from .structure import ClassificationError, random_b0_tensor, random_b_tensor, random_tensor
-    from .structure import require_membership
+    from .structure import classify, random_b0_tensor, random_b_tensor, random_tensor
     from .tensorio import check_entry_budget, dumps_tensor
 
     check_entry_budget(args.m, args.n)
@@ -219,11 +218,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
         generate = random_b_tensor if kind == "B" else random_b0_tensor
         for _ in range(100):
             tensor = generate(args.m, args.n, rng)
-            try:
-                if require_membership(tensor, kind).verdict == kind:
-                    break
-            except ClassificationError:
-                pass
+            if classify(tensor).verdict == kind:
+                break
         else:
             print(f"could not generate a {kind} tensor in 100 tries", file=sys.stderr)
             return 1, {}
@@ -412,6 +408,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, payload = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; as Python's signal docs advise, point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,17 +2,17 @@
 
 A tensor here is an order-m, dimension-n real hypermatrix stored as a dense
 ``(n, ..., n)`` float array and nothing else: its symmetry is read from the
-entries (:func:`is_entry_symmetric`), never declared.  One kernel, a chain
-of matrix-vector products contracting the last index first, gives
-:func:`contract` (one vector) and :func:`contract_batch` (a ``(k, n)`` batch
-as a leading axis, any order); a batch row equals the single-vector result
-bit for bit.  On it rest the two degree-one homogeneous maps ``T``
-(:func:`scaled_map`) and ``F`` (:func:`root_map`); they and
-:func:`contraction_jacobian` each take one vector or a batch.
-:func:`damped_newton` is the one Newton driver: it advances a stack of
-starts together, and the H- and Z-eigenpair searches and the complementarity
-solver supply only a batched residual and its Jacobian.  :class:`Report` is
-the base of every result dataclass and gives them their one JSON serialiser.
+entries (:func:`is_entry_symmetric`), never declared.  One kernel,
+:func:`contract_batch`, a chain of matrix-vector products contracting the
+last index first with a ``(k, n)`` batch as a leading axis (any order), does
+every contraction; :func:`contract` is its one-row case.  On it rest the two
+degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
+(:func:`root_map`); they and :func:`contraction_jacobian` each take one
+vector or a batch.  :func:`damped_newton` is the one Newton driver: it
+advances a stack of starts together, and the H- and Z-eigenpair searches and
+the complementarity solver supply only a batched residual and its Jacobian.
+:class:`Report` is the base of every result dataclass and gives them their
+one JSON serialiser.
 """
 from __future__ import annotations
 
@@ -167,20 +167,16 @@ def _as_rows(tensor: Tensor, x) -> np.ndarray:
 
 
 def contract(tensor: Tensor, x) -> np.ndarray:
-    """Contract ``x`` into every index but the first.
+    """Contract ``x`` into every index but the first: one row of :func:`contract_batch`.
 
     Returns the vector whose i-th component is the sum over all remaining
     indices of ``a[i, i2, ..., im] * x[i2] * ... * x[im]``.
     """
-    v = _as_vector(tensor, x)
-    out = tensor.array
-    for _ in range(tensor.order - 1):
-        out = out.reshape(-1, tensor.dim) @ v
-    return out
+    return contract_batch(tensor, _as_vector(tensor, x)[None])[0]
 
 
 def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`contract`, (k, n) -> (k, n): the same chain with a leading batch axis.
+    """Row-wise :func:`contract`, (k, n) -> (k, n): the one chain of matrix-vector products.
 
     The last product of each chunk is written straight into the output.
     """

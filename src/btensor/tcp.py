@@ -1,15 +1,14 @@
 """Tensor complementarity: find x >= 0 with w = q + contract(A, x) >= 0 and x.w = 0.
 
 The solver runs :func:`core.damped_newton` on the natural residual
-``min(x, w)`` (semismooth, with projection onto the nonnegative orthant and
-face-recovery restarts) from a small deterministic multistart.  ``solve``
-tries its starts one at a time, as one-row stacks, and keeps the first that
-converges; the boundedness probe runs each radius's starts as one stack and
-then recovers faces start by start.  For strict-class tensors the solution
-set is nonempty and bounded, and every nonzero solution obeys closed-form
-lower bounds driven by the positive part of ``-q`` and the diagonal entries;
-this module computes those certificates and verifies them against solver
-output.
+``min(x, w)`` (semismooth, with projection onto the nonnegative orthant) on
+a stack of starts, then face-recovery restarts, each round stacked over the
+starts still unsolved.  ``solve`` tries its starts one at a time and keeps
+the first that converges; the boundedness probe runs each radius's starts as
+one stack.  For strict-class tensors the solution set is nonempty and
+bounded, and every nonzero solution obeys closed-form lower bounds driven by
+the positive part of ``-q`` and the diagonal entries; this module computes
+those certificates and verifies them against solver output.
 """
 from __future__ import annotations
 
@@ -88,39 +87,45 @@ def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> Tc
 
 
 def _face_recovery(instance: TcpInstance, x: np.ndarray):
-    """Restart point for a projected Newton blocked at a face.
+    """Restarts for projected Newton rows blocked at a face: ``(restarts, has_restart)`` of a (k, n) stack.
 
-    Take the most negative slack coordinate and grow it alone until the
-    slack changes sign (the positive diagonal of the structured class
-    guarantees it eventually does), then bisect to the sign change.  The
-    residual may transiently increase; the caller judges the restart by
-    where Newton lands from it.
+    Each row grows its most negative slack coordinate alone until the slack there changes sign
+    (the positive diagonal of the structured class guarantees it eventually does): up to 60
+    doubling steps, then 40 bisection steps; if it never turns, the next negative coordinate in
+    ``argsort`` order.  The rows step together, one :func:`contract_batch` call per step, each as
+    it would alone.  The residual may rise; the caller judges a restart by where Newton lands.
     """
     tensor, q = instance.tensor, instance.q
-    w = q + contract(tensor, x)
-    for i in np.argsort(w):
-        if w[i] >= 0:
-            return None
-        lo = float(x[i])
-        hi = max(2.0 * lo, 1e-3)
-        candidate = x.copy()
+    w = q + contract_batch(tensor, x)
+    order = np.argsort(w, axis=1)
+    restarts, has_restart = x.copy(), np.zeros(len(x), dtype=bool)
+
+    def below(rows, cols, values):
+        # Whether the slack at cols is not >= 0 (so NaN counts as negative) once x[rows, cols] = values.
+        probe, at = x[rows], (np.arange(len(rows)), cols)
+        probe[at] = values
+        return ~((q[cols] + contract_batch(tensor, probe)[at]) >= 0)
+
+    rows = np.arange(len(x))
+    for t in range(tensor.dim):
+        rows = rows[~(w[rows, order[rows, t]] >= 0)]
+        if not rows.size:
+            break
+        cols = order[rows, t]
+        lo, hi = x[rows, cols], np.maximum(2.0 * x[rows, cols], 1e-3)
+        climbing = np.arange(len(rows))
         for _ in range(60):
-            candidate[i] = hi
-            if (q + contract(tensor, candidate))[i] >= 0:
+            climbing = climbing[below(rows[climbing], cols[climbing], hi[climbing])]
+            if not climbing.size:
                 break
-            lo, hi = hi, 2.0 * hi
-        else:
-            continue
+            lo[climbing], hi[climbing] = hi[climbing], 2.0 * hi[climbing]
+        turned, cols, lo, hi = (np.delete(a, climbing) for a in (rows, cols, lo, hi))
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            candidate[i] = mid
-            if (q + contract(tensor, candidate))[i] >= 0:
-                hi = mid
-            else:
-                lo = mid
-        candidate[i] = hi
-        return candidate
-    return None
+            lo, hi = np.where(below(turned, cols, mid), (mid, hi), (lo, mid))
+        restarts[turned, cols], has_restart[turned] = hi, True
+        rows = rows[climbing]
+    return restarts, has_restart
 
 
 def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
@@ -145,26 +150,24 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: 
 
 
 def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
-    """Semismooth Newton from a (k, n) stack of starts; returns one (x, residual) per start.
+    """Semismooth Newton from a (k, n) stack of starts; returns the (k, n) points and (k,) residuals.
 
-    One monotone pass advances all starts together; face-recovery restarts
-    then follow start by start.
+    After one monotone pass, each of up to eight rounds makes one face recovery and one monotone
+    pass over the starts above ``tol``; a start keeps a restart only while it lowers the residual.
     """
-    results = []
-    for x, res in zip(*_monotone_newton(instance, x0, max_iter, tol)):
-        res = float(res)
-        for _ in range(8):
-            if res <= tol:
-                break
-            restart = _face_recovery(instance, x)
-            if restart is None:
-                break
-            [x_new], [res_new] = _monotone_newton(instance, restart[None], max_iter, tol)
-            if res_new >= res:
-                break
-            x, res = x_new, float(res_new)
-        results.append((x, res))
-    return results
+    x, res = _monotone_newton(instance, x0, max_iter, tol)
+    rows = np.arange(len(x))
+    for _ in range(8):
+        rows = rows[~(res[rows] <= tol)]
+        if not rows.size:
+            break
+        restarts, has_restart = _face_recovery(instance, x[rows])
+        rows = rows[has_restart]
+        x_new, res_new = _monotone_newton(instance, restarts[has_restart], max_iter, tol)
+        better = ~(res_new >= res[rows])
+        rows = rows[better]
+        x[rows], res[rows] = x_new[better], res_new[better]
+    return x, res
 
 
 def _start_points(instance: TcpInstance, starts: int, seed: int):
@@ -195,12 +198,11 @@ def solve(
         raise ValueError(f"starts must be >= 1, got {starts}")
     best: Optional[tuple[np.ndarray, float]] = None
     for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
-        [(x, res)] = _newton_from(instance, x0[None], max_iter, tol)
+        [x], [res] = _newton_from(instance, x0[None], max_iter, tol)
+        if res <= tol or best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
+            best = (x, res)
         if res <= tol:
-            best = (x, res)
             break
-        if best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
-            best = (x, res)
     return outcome_at(instance, best[0], tol, used)
 
 
@@ -290,7 +292,7 @@ def boundedness_probe(
     for radius in radius_schedule:
         found: list[np.ndarray] = []
         x0 = np.array([rng.uniform(0.0, float(radius), size=tensor.dim) for _ in range(starts)])
-        for x, res in _newton_from(instance, x0, DEFAULT_MAX_ITER, tol):
+        for x, res in zip(*_newton_from(instance, x0, DEFAULT_MAX_ITER, tol)):
             if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
                 found.append(x)
         per_radius.append(found)

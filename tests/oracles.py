@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from btensor.tcp import _monotone_newton
+
 
 def naive_contract(tensor, x):
     """m-nested-loop contraction, deliberately kept free of numpy reductions."""
@@ -19,6 +21,66 @@ def naive_contract(tensor, x):
             total += term
         out[i] = total
     return out
+
+
+def chain_contract(tensor, x):
+    """The single-vector chain of matrix-vector products, last index first: the reference
+    that every ``contract_batch`` row must equal bit for bit."""
+    v = np.asarray(x, dtype=float)
+    out = tensor.array
+    for _ in range(tensor.order - 1):
+        out = out.reshape(-1, tensor.dim) @ v
+    return out
+
+
+def serial_face_recovery(instance, x):
+    """Face recovery of one point, one contraction at a time: the reference for each row of
+    ``tcp._face_recovery``.  Returns the restart, or None."""
+    tensor, q = instance.tensor, instance.q
+    w = q + chain_contract(tensor, x)
+    for i in np.argsort(w):
+        if w[i] >= 0:
+            return None
+        lo = float(x[i])
+        hi = max(2.0 * lo, 1e-3)
+        candidate = x.copy()
+        for _ in range(60):
+            candidate[i] = hi
+            if (q + chain_contract(tensor, candidate))[i] >= 0:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            continue
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            candidate[i] = mid
+            if (q + chain_contract(tensor, candidate))[i] >= 0:
+                hi = mid
+            else:
+                lo = mid
+        candidate[i] = hi
+        return candidate
+    return None
+
+
+def serial_newton_from(instance, x0, max_iter, tol):
+    """Semismooth Newton with face-recovery restarts start by start: the reference for each row
+    of ``tcp._newton_from``.  Returns one (x, residual) per start."""
+    results = []
+    for x, res in zip(*_monotone_newton(instance, x0, max_iter, tol)):
+        res = float(res)
+        for _ in range(8):
+            if res <= tol:
+                break
+            restart = serial_face_recovery(instance, x)
+            if restart is None:
+                break
+            [x_new], [res_new] = _monotone_newton(instance, restart[None], max_iter, tol)
+            if res_new >= res:
+                break
+            x, res = x_new, float(res_new)
+        results.append((x, res))
+    return results
 
 
 def naive_is_symmetric(array):

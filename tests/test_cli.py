@@ -451,6 +451,28 @@ class TestSizeLimit:
         assert err == "error: order 65 is over numpy's limit of 64 axes\n"
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the report is written gets exit 1 and no error line."""
+
+    @pytest.mark.parametrize("argv", [["classify", EX41], ["eigen", EX41, "--kind", "h"]])
+    def test_exit_one_without_error_line(self, argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "btensor", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=env, check=False, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1
+        assert "error:" not in run.stderr
+        assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
 class TestGenCommand:
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "gen", "--m", "4", "--n", "3", "--kind", "B", "--seed", "1")

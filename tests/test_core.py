@@ -27,7 +27,7 @@ from btensor import core
 from btensor.core import _BATCH_FLOATS, Report, damped_newton
 from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
-from oracles import naive_contract, naive_is_symmetric
+from oracles import chain_contract, naive_contract, naive_is_symmetric
 from test_solver_golden import _general, _symmetric
 
 
@@ -171,12 +171,14 @@ class TestContract:
         rhs = t ** (tensor.order - 1) * contract(tensor, x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
+    # contract is one row of contract_batch; these pin every batch row to the single-vector chain.
     def test_batch_matches_single(self, rng):
         for order, dim in [(2, 5), (3, 1), (3, 4), (4, 3), (6, 3), (3, 9), (4, 10), (3, 11)]:
             tensor = random_tensor(order, dim, rng)
             pts = rng.uniform(-1.0, 1.0, size=(11, dim))
             batched = contract_batch(tensor, pts)
             for row, point in zip(batched, pts):
+                assert np.array_equal(row, chain_contract(tensor, point)), (order, dim)
                 assert np.array_equal(row, contract(tensor, point)), (order, dim)
 
     def test_batch_matches_single_across_blocks(self, rng):
@@ -185,13 +187,13 @@ class TestContract:
         assert len(pts) * 8**3 > 10 * _BATCH_FLOATS  # many row blocks
         batched = contract_batch(tensor, pts)
         for row, point in zip(batched, pts):
-            assert np.array_equal(row, contract(tensor, point))
+            assert np.array_equal(row, chain_contract(tensor, point))
 
     def test_batch_has_no_order_cap(self):
         tensor = Tensor(np.full((1,) * 26, 2.0))
         batched = contract_batch(tensor, np.array([[3.0], [-1.0], [0.0]]))
         assert np.array_equal(batched, [[2.0 * 3.0**25], [-2.0], [0.0]])
-        assert np.array_equal(batched[0], contract(tensor, [3.0]))
+        assert np.array_equal(batched[0], chain_contract(tensor, [3.0]))
 
     def test_empty_batch(self, ex41):
         assert contract_batch(ex41, np.zeros((0, 3))).shape == (0, 3)
@@ -266,7 +268,8 @@ class TestDampedNewton:
     @pytest.mark.parametrize("trial_points", [1, 100, core._TRIAL_POINTS])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 40])
     def test_stack_rows_equal_rows_run_alone(self, monkeypatch, max_iter, trial_points):
-        monkeypatch.setattr(core, "_TRIAL_POINTS", trial_points)  # rows per line-search call: 1, 3, 7
+        # Each line-search call scores max(1, trial_points // failing) lengths of every failing row.
+        monkeypatch.setattr(core, "_TRIAL_POINTS", trial_points)
         lstsq_calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))

@@ -129,3 +129,22 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_every_traced_target_resolves():
+    # The perfbench tracer wraps each (home, attr) of its TARGETS; read them without importing it.
+    tree = ast.parse(Path(SRC).parent.joinpath("perfbench", "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    pairs = sorted({pair for homes in targets.values() for pair in homes})
+    assert ("core", "contract") in pairs and ("tcp", "boundedness_probe") in pairs
+    out = run_python(
+        "import importlib, json\n"
+        f"pairs = {pairs!r}\n"
+        "found = [getattr(importlib.import_module('btensor.' + h), a, None) for h, a in pairs]\n"
+        "print(json.dumps([callable(obj) for obj in found]))\n"
+    )
+    assert dict(zip(pairs, json.loads(out))) == {pair: True for pair in pairs}

@@ -13,9 +13,24 @@ from btensor import (
     tcp_solve,
     verify_solution_bounds,
 )
-from btensor.tcp import TcpInstance, TcpOutcome
+from btensor.tcp import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    TcpInstance,
+    TcpOutcome,
+    _face_recovery,
+    _monotone_newton,
+    _newton_from,
+)
 
-from oracles import grid_min_residual, naive_contract, radial_grid_oracle
+import oracles
+from oracles import (
+    grid_min_residual,
+    naive_contract,
+    radial_grid_oracle,
+    serial_face_recovery,
+    serial_newton_from,
+)
 
 
 def make_instance(tensor, q):
@@ -181,6 +196,94 @@ class TestOracles:
             scales = [certificate.lb_inf ** 0.5, certificate.lb_2 ** 0.5]
             radius = 1.0 + max(scales)
             assert outcome.residual <= grid_min_residual(tensor, q, radius)
+
+
+def _hexes(*arrays):
+    return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
+
+
+class TestStackedSearch:
+    """Stacked face recovery and restart rounds give every start the bits it gets alone."""
+
+    @staticmethod
+    def assert_newton_rows_equal_serial(instance, x0):
+        x, res = _newton_from(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
+        alone = serial_newton_from(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
+        assert len(x) == len(res) == len(alone)
+        for k, (x_alone, res_alone) in enumerate(alone):
+            assert _hexes(x[k], res[k]) == _hexes(x_alone, res_alone), k
+
+    @staticmethod
+    def assert_recovery_rows_equal_serial(instance, points):
+        restarts, has_restart = _face_recovery(instance, points)
+        for k, point in enumerate(points):
+            alone = serial_face_recovery(instance, point)
+            assert has_restart[k] == (alone is not None), k
+            if alone is not None:
+                assert _hexes(restarts[k]) == _hexes(alone), k
+        return restarts, has_restart
+
+    @pytest.mark.parametrize("radius,starts", [(1.0, 8), (10.0, 12), (100.0, 16)])
+    @pytest.mark.parametrize("member", ["ex41", (3, 3), (4, 3), (3, 5)])
+    def test_restart_rounds_equal_serial(self, ex41, member, radius, starts):
+        rng = np.random.default_rng(starts)
+        tensor = ex41 if member == "ex41" else random_b_tensor(*member, rng)
+        instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
+        self.assert_newton_rows_equal_serial(instance, rng.uniform(0.0, radius, (starts, tensor.dim)))
+
+    def test_face_recovery_rows_equal_serial(self, ex41, rng):
+        for tensor in (ex41, random_b_tensor(3, 5, rng), random_b_tensor(4, 3, rng)):
+            instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
+            x0 = rng.uniform(0.0, 10.0, (12, tensor.dim))
+            blocked, _ = _monotone_newton(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
+            _, has_restart = self.assert_recovery_rows_equal_serial(instance, np.vstack([blocked, x0]))
+            assert has_restart.any()
+
+    def test_ladder_that_never_turns_falls_back_to_the_next_coordinate(self):
+        # Slack 0 is -1 - x0**2, so its ladder never turns; slacks 1 and 2 turn as x1, x2 grow.
+        instance = make_instance(Tensor.diagonal_tensor(3, 3, [-1.0, 2.0, 2.0]), [-1.0, -4.0, -2.0])
+        points = np.array([
+            [0.0, 0.0, 0.0],  # slack 1 is the most negative and turns
+            [3.0, 0.0, 0.0],  # slack 0 is the most negative: falls back to coordinate 1
+            [0.0, 3.0, 3.0],  # slack 0 is the only negative one: no restart
+            [1.0, 1.5, 0.5],  # falls back to coordinate 2
+            [0.0, 0.0, 1.0],  # slack 1 turns
+        ])
+        restarts, has_restart = self.assert_recovery_rows_equal_serial(instance, points)
+        assert has_restart.tolist() == [True, True, False, True, True]
+        moved = (restarts != points)[has_restart].astype(int)
+        assert moved.tolist() == [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]]
+        self.assert_recovery_rows_equal_serial(instance, points[[1, 3]])  # every first ladder fails
+        self.assert_newton_rows_equal_serial(instance, points)
+
+    def test_nan_slack_counts_as_negative_as_alone(self):
+        tensor = Tensor.from_flat(3, 2, [1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        instance = make_instance(tensor, [-1.0, -4.0])
+        points = np.array([[np.nan, 0.0], [0.0, np.nan], [1e200, 0.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, has_restart = self.assert_recovery_rows_equal_serial(instance, points)
+        assert has_restart.tolist() == [False, False, True, True]
+
+    # Seed 2 has a start that takes three rounds; at seed 11 some starts keep their first
+    # restart and others, in the same round, do not.
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_stack_mixing_rows_of_zero_one_and_more_rounds(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        tensor = random_b_tensor(3, 5, rng)
+        instance = make_instance(tensor, rng.uniform(-2.0, 1.0, 5))
+        solution = tcp_solve(instance).x
+        x0 = np.vstack([solution, rng.uniform(0.0, 1.0, (5, 5)), rng.uniform(0.0, 10.0, (4, 5))])
+        calls = []
+        recover = oracles.serial_face_recovery
+        monkeypatch.setattr(oracles, "serial_face_recovery", lambda *a: calls.append(1) or recover(*a))
+        rounds = []
+        for start in x0:
+            calls.clear()
+            serial_newton_from(instance, start[None], DEFAULT_MAX_ITER, DEFAULT_TOL)
+            rounds.append(len(calls))
+        assert {0, 1} <= set(rounds) and max(rounds) >= 2, rounds
+        monkeypatch.undo()
+        self.assert_newton_rows_equal_serial(instance, x0)
 
 
 class TestScalingAndBoundedness:
