@@ -45,7 +45,7 @@ for t in (4.0, 9.0):
 
 # Boundedness probe: growing the start radius does not grow the solution set.
 print("\nsolution set bounded (radii 1, 10, 100):",
-      boundedness_probe(ex41, q, (1.0, 10.0, 100.0)))
+      boundedness_probe(ex41, q))
 
 # q >= 0 always has the trivial solution.
 print("q >= 0 gives x = 0:", tcp_solve(TcpInstance(ex41, np.array([0.5, 1.0, 0.0]))).x)

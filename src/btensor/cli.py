@@ -90,13 +90,13 @@ def _emit(payload: dict, note: str = "") -> None:
         print(note, file=sys.stderr)
 
 
-def _write_manifest(args, payload: dict, started: float, inputs: list[str]) -> None:
+def _write_manifest(args, payload: dict, started: float) -> None:
     if not getattr(args, "manifest", None):
         return
     import hashlib
 
     hashes = {}
-    for path in inputs:
+    for path in [args.file] if hasattr(args, "file") else []:
         with open(path, "rb") as handle:
             hashes[path] = hashlib.sha256(handle.read()).hexdigest()
     manifest = {
@@ -205,7 +205,7 @@ def _cmd_tcp(args) -> tuple[int, dict]:
 def _cmd_gen(args) -> tuple[int, dict]:
     from .core import Tensor
     from .structure import classify, random_b0_tensor, random_b_tensor, random_tensor
-    from .tensorio import check_entry_budget, dumps_tensor
+    from .tensorio import check_entry_budget, dump_tensor, dumps_tensor
 
     check_entry_budget(args.m, args.n)
     rng = np.random.default_rng(args.seed)
@@ -223,21 +223,18 @@ def _cmd_gen(args) -> tuple[int, dict]:
         else:
             print(f"could not generate a {kind} tensor in 100 tries", file=sys.stderr)
             return 1, {}
-    text = dumps_tensor(tensor)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+        dump_tensor(tensor, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(text)
+        print(dumps_tensor(tensor))
     return 0, {}
 
 
 def _paper_claims(seed: int):
     """Golden checks for the two bundled tensors; returns (name, ok, detail) triples."""
     from .datasets import load_example
-    from .opnorms import estimate_norm, f_norm_bounds, general_upper_bound, t_norm_bounds
+    from .opnorms import closed_form_report, estimate_norm
     from .spectral import find_h_eigenpairs, find_z_eigenpairs, verify_eigen_bounds
     from .structure import classify, random_b_tensor
     from .tcp import TcpInstance, solve, verify_solution_bounds
@@ -258,17 +255,16 @@ def _paper_claims(seed: int):
     beta_ok = bool(np.array_equal(report41.beta, np.array([2.0, 2.0, 2.0])))
     claim("ex41-offdiag-caps", beta_ok, f"beta={report41.beta.tolist()}")
 
-    general41 = general_upper_bound(ex41, "T", math.inf)
-    lower41, upper41 = t_norm_bounds(ex41, math.inf, "B", report41)
+    t41 = closed_form_report(ex41, "T", math.inf)
+    lower41, upper41, general41 = t41.b_lower, t41.b_upper, t41.general_upper
     ok = abs(upper41 - 54.0) <= GOLDEN_TOL and abs(general41 - 57.0) <= GOLDEN_TOL and upper41 < general41
     claim("ex41-T-inf-upper-tighter", ok, f"b_upper={upper41}, general={general41}")
 
-    _, f_upper41 = f_norm_bounds(ex41, 1.0, "B", report41)
-    f_general41 = general_upper_bound(ex41, "F", 1.0)
+    f41 = closed_form_report(ex41, "F", 1.0)
     claim(
         "ex41-F-1-upper-tighter",
-        f_upper41 < f_general41,
-        f"b_upper={f_upper41:.6f}, general={f_general41:.6f}",
+        f41.b_upper < f41.general_upper,
+        f"b_upper={f41.b_upper:.6f}, general={f41.general_upper:.6f}",
     )
 
     estimate41, _ = estimate_norm(ex41, "T", math.inf, samples=64, ascent_steps=25, seed=seed)
@@ -282,8 +278,8 @@ def _paper_claims(seed: int):
     claim("ex42-row-sums", err <= GOLDEN_TOL, f"max_err={err:.3e}")
 
     for p in (1.0, 2.0, 4.0):
-        _, upper42 = t_norm_bounds(ex42, p, "B", report42)
-        general42 = general_upper_bound(ex42, "T", p)
+        t42 = closed_form_report(ex42, "T", p)
+        upper42, general42 = t42.b_upper, t42.general_upper
         floor = 64.0 * 4.0 ** (3.0 / p)
         ok = abs(upper42 - 48.0) <= GOLDEN_TOL and general42 >= floor - GOLDEN_TOL and upper42 < general42
         claim(
@@ -342,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classification report for a tensor file")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=0.0, help="margin required on strict inequalities")
-    p.set_defaults(func=_cmd_classify, inputs=lambda a: [a.file])
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("semipositive", help="sampled semi-positivity certificate")
     p.add_argument("file")
     p.add_argument("--mode", choices=("strict", "weak"), default="strict")
     p.add_argument("--grid", type=int, default=8, help="simplex lattice resolution")
-    p.set_defaults(func=_cmd_semipositive, inputs=lambda a: [a.file])
+    p.set_defaults(func=_cmd_semipositive)
 
     p = sub.add_parser("bounds", help="operator norm bounds, optionally with an empirical estimate")
     p.add_argument("file")
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_bounds, inputs=lambda a: [a.file])
+    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("eigen", help="multistart eigenpair search")
     p.add_argument("file")
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=64)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verify-bounds", action="store_true")
-    p.set_defaults(func=_cmd_eigen, inputs=lambda a: [a.file])
+    p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("tcp", help="complementarity solving and solution bounds")
     tcp_sub = p.add_subparsers(dest="tcp_command", required=True)
@@ -383,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tol", type=float, default=1e-8)
         if name == "verify":
             sp.add_argument("--x", required=True, help="candidate solution as a JSON vector")
-        sp.set_defaults(func=_cmd_tcp, inputs=lambda a: [a.file])
+        sp.set_defaults(func=_cmd_tcp)
 
     p = sub.add_parser("gen", help="emit a generated tensor as JSON")
     p.add_argument("--m", type=int, required=True)
@@ -391,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("B", "B0", "diagonal", "random"), default="B")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_gen, inputs=lambda a: [])
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify-paper", help="run the bundled-example golden suite")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_paper, inputs=lambda a: [])
+    p.set_defaults(func=_cmd_verify_paper)
     return parser
 
 
@@ -423,7 +419,7 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, payload, started, args.inputs(args))
+    _write_manifest(args, payload, started)
     return code
 
 

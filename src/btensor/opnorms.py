@@ -8,9 +8,10 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone.  :func:`closed_form_report` gives the bracket of a
-tensor at its own class as a :class:`NormBoundReport` with no estimate, and
-:func:`bound_report` adds the checked estimate to it.
+as if it ran alone.  One private function computes the class bracket of
+both maps; :func:`closed_form_report` classifies a tensor once and gives
+that bracket at its own class as a :class:`NormBoundReport` with no
+estimate, and :func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
 
@@ -76,62 +77,53 @@ def general_upper_bound(tensor: Tensor, operator: str, p: float = math.inf) -> f
     return float(np.sum(rabs ** (p / (m - 1))) ** (1 / p))
 
 
-def _uniform_witness_value(tensor: Tensor, operator: str, p: float) -> float:
-    """Map value at the normalized uniform vector, the strict-class lower witness.
+def _bracket(tensor: Tensor, operator: str, p: float, strict: bool, beta: np.ndarray) -> tuple[float, float]:
+    """Class bracket of either map: ``scale * ||v ** r||_p`` at v = beta, then at the diagonal.
 
-    Evaluated through the same batch path as the empirical estimator, so an
-    estimate that includes the uniform start can never fall below it.
+    ``r`` is the int 1 for T, which keeps its powers exact, and ``1 / (m - 1)``
+    for F.  F's max-norm upper is capped by the general bound.  For the strict
+    class the map value at the uniform witness (the row-sum term) joins the
+    lower bound, through the estimator's batch path, so an estimate that
+    includes the uniform start never falls below it.
     """
-    witness = _normalize_rows(np.ones((1, tensor.dim)), p)
-    return float(_row_norms(_MAPS[operator](tensor, witness), p)[0])
+    m, n = tensor.order, tensor.dim
+    diag = tensor.diagonal
+    r = 1 if operator == "T" else 1.0 / (m - 1)
+    if p == math.inf:
+        scale = n ** (m / 2) if operator == "T" else n
+        lower, upper = scale * beta.max() ** r, scale * diag.max() ** r
+        if operator == "F":
+            upper = min(general_upper_bound(tensor, "F", math.inf), upper)
+    else:
+        scale = n ** ((m * p - 2) / (2 * p)) if operator == "T" else n ** ((p - 1) / p)
+        lower, upper = (scale * np.sum(v ** (p * r)) ** (1 / p) for v in (beta, diag))
+    if strict:
+        witness = _normalize_rows(np.ones((1, n)), p)
+        lower = max(lower, float(_row_norms(_MAPS[operator](tensor, witness), p)[0]))
+    return float(lower), float(upper)
 
 
-def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B", report=None) -> tuple[float, float]:
+def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tuple[float, float]:
     """Class-specific bracket for the 2-norm rescaled map.
 
-    The lower bound always includes the off-diagonal-cap term; for the
-    strict class the map value at the uniform witness (algebraically the
-    row-sum term) joins the max and the bracket is strict.  The upper bound
-    uses only the diagonal entries.  ``report`` as for :func:`require_membership`.
+    The lower bound always includes the off-diagonal-cap term, joined for
+    the strict class by the uniform-witness value, which makes the bracket
+    strict.  The upper bound uses only the diagonal entries.
     """
     p = _check_p(p)
-    beta = require_membership(tensor, variant, report).beta
-    m, n = tensor.order, tensor.dim
-    diag = tensor.diagonal
-    if p == math.inf:
-        lower = n ** (m / 2) * beta.max()
-        upper = n ** (m / 2) * diag.max()
-    else:
-        lower = n ** ((m * p - 2) / (2 * p)) * np.sum(beta**p) ** (1 / p)
-        upper = n ** ((m * p - 2) / (2 * p)) * np.sum(diag**p) ** (1 / p)
-    if variant == "B":
-        lower = max(lower, _uniform_witness_value(tensor, "T", p))
-    return float(lower), float(upper)
+    return _bracket(tensor, "T", p, variant == "B", require_membership(tensor, variant).beta)
 
 
-def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B", report=None) -> tuple[float, float]:
+def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tuple[float, float]:
     """Class-specific bracket for the componentwise-root map (even order only).
 
-    For the max norm the diagonal upper bound is itself weaker than the
-    general row-absolute-sum bound, so the reported upper is their minimum.
-    ``report`` as for :func:`require_membership`.
+    For the max norm the reported upper is the minimum of the diagonal and
+    the general bound.
     """
     p = _check_p(p)
-    m, n = tensor.order, tensor.dim
-    if m % 2:
-        raise UnsupportedOrder(f"operator F needs an even order, got {m}")
-    beta = require_membership(tensor, variant, report).beta
-    diag = tensor.diagonal
-    root = 1.0 / (m - 1)
-    if p == math.inf:
-        lower = n * beta.max() ** root
-        upper = min(general_upper_bound(tensor, "F", math.inf), n * diag.max() ** root)
-    else:
-        lower = n ** ((p - 1) / p) * np.sum(beta ** (p * root)) ** (1 / p)
-        upper = n ** ((p - 1) / p) * np.sum(diag ** (p * root)) ** (1 / p)
-    if variant == "B":
-        lower = max(lower, _uniform_witness_value(tensor, "F", p))
-    return float(lower), float(upper)
+    if tensor.order % 2:
+        raise UnsupportedOrder(f"operator F needs an even order, got {tensor.order}")
+    return _bracket(tensor, "F", p, variant == "B", require_membership(tensor, variant).beta)
 
 
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
@@ -235,10 +227,9 @@ def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf) -> No
     p = _check_p(p)
     membership = require_membership(tensor, "B0")
     variant = membership.verdict  # "B" or "B0"
-    bracket = t_norm_bounds if operator == "T" else f_norm_bounds
     with np.errstate(over="ignore"):
         general = general_upper_bound(tensor, operator, p)
-        lower, upper = bracket(tensor, p, variant, membership)
+        lower, upper = _bracket(tensor, operator, p, variant == "B", membership.beta)
     for name, value in (("general_upper", general), ("b_lower", lower), ("b_upper", upper)):
         if not math.isfinite(value):
             raise ValueError(f"{name} is {value}: the entries overflow the closed-form bound")

@@ -55,11 +55,12 @@ def _diag_flat_positions(order: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowProfile:
-    """Per-row evidence: entry sums, off-diagonal maxima, and their positive parts."""
+    """Per-row evidence: entry sums, off-diagonal maxima with their places, and their positive parts."""
 
     row_sums: np.ndarray
     max_offdiag: np.ndarray  # -inf when the row has no off-diagonal entries (dim 1)
     beta: np.ndarray  # max(0, max_offdiag)
+    at: np.ndarray  # place in the flat row of its first largest off-diagonal entry
 
 
 def row_profile(tensor: Tensor) -> RowProfile:
@@ -68,9 +69,10 @@ def row_profile(tensor: Tensor) -> RowProfile:
     row_sums = rows.sum(axis=1)
     masked = rows.copy()
     masked[np.arange(n), _diag_flat_positions(m, n)] = -math.inf
-    max_off = masked.max(axis=1)
+    at = masked.argmax(axis=1)
+    max_off = masked[np.arange(n), at]
     beta = np.maximum(max_off, 0.0)
-    return RowProfile(row_sums=row_sums, max_offdiag=max_off, beta=beta)
+    return RowProfile(row_sums=row_sums, max_offdiag=max_off, beta=beta, at=at)
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,6 @@ class ClassificationReport(Report):
         payload = super().to_dict()
         payload["max_offdiag"] = [None if math.isinf(v) else v for v in payload["max_offdiag"]]
         return payload
-
-
-def _offending_index(tensor: Tensor, row: int) -> tuple[int, ...]:
-    """1-based index of the largest off-diagonal entry of the row."""
-    n, m = tensor.dim, tensor.order
-    flat = tensor.array.reshape(n, -1)[row].copy()
-    flat[_diag_flat_positions(m, n)[row]] = -math.inf
-    pos = int(np.argmax(flat))
-    index = np.unravel_index(pos, (n,) * (m - 1))
-    return tuple(int(i) + 1 for i in index)
 
 
 def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
@@ -132,9 +124,8 @@ def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
             if profile.row_sums[i] < -tol:
                 witnesses.append(Witness(row=i + 1, index=None, reason="row_sum"))
             elif gap[i] < -tol:
-                witnesses.append(
-                    Witness(row=i + 1, index=_offending_index(tensor, i), reason="threshold")
-                )
+                index = tuple(int(j) + 1 for j in np.unravel_index(profile.at[i], (n,) * (m - 1)))
+                witnesses.append(Witness(row=i + 1, index=index, reason="threshold"))
 
     verdict = "B" if is_b else ("B0" if is_b0 else "Neither")
     return ClassificationReport(
@@ -270,24 +261,18 @@ def semipositivity_certificate(
     )
 
 
-def random_tensor(
-    order: int, dim: int, rng: np.random.Generator, low: float = -1.0, high: float = 1.0
-) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=(dim,) * order))
+def random_tensor(order: int, dim: int, rng: np.random.Generator) -> Tensor:
+    """Entries uniform in [-1, 1]."""
+    return Tensor(rng.uniform(-1.0, 1.0, size=(dim,) * order))
 
 
-def random_b_tensor(
-    order: int,
-    dim: int,
-    rng: np.random.Generator,
-    margin_range: tuple[float, float] = (0.01, 1.0),
-) -> Tensor:
+def random_b_tensor(order: int, dim: int, rng: np.random.Generator) -> Tensor:
     """Member of the strict class by construction.
 
     Off-diagonal entries are uniform in [-1, 1]; each diagonal entry is then
     set so the row sum equals ``n**(m-1) * (beta + margin)`` with a fresh
-    margin per row, which makes both defining inequalities hold with real
-    slack.
+    margin per row, uniform in [0.01, 1], which makes both defining
+    inequalities hold with real slack.
     """
     arr = rng.uniform(-1.0, 1.0, size=(dim,) * order)
     rows = arr.reshape(dim, -1)
@@ -296,7 +281,7 @@ def random_b_tensor(
     for i in range(dim):
         rows[i, diag_pos[i]] = 0.0
         off_sum = rows[i].sum()
-        margin = rng.uniform(*margin_range)
+        margin = rng.uniform(0.01, 1.0)
         off_max = max(0.0, rows[i].max())
         rows[i, diag_pos[i]] = scale * (off_max + margin) - off_sum
     return Tensor(arr)

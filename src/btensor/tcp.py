@@ -48,6 +48,7 @@ DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-8
 NEAR_TIE_SLACK = 1e-12
+PROBE_RADII = (1.0, 10.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _face_recovery(instance: TcpInstance, x: np.ndarray):
     return restarts, has_restart
 
 
-def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
+def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     """Damped semismooth Newton with projection on a (k, n) stack of starts; stops at stalls.
 
     Returns the (k, n) points and their (k,) residuals.
@@ -145,17 +146,17 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: 
         # Rows where min(x, w) picks x (x <= w) differentiate to the identity, the rest to w's.
         return np.where((phi == x)[:, :, None], identity, contraction_jacobian(tensor, x))
 
-    x, _, res = damped_newton(evaluate, jacobian, x0, max_iter, tol, 1e-12)
+    x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12)
     return x, res
 
 
-def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: float):
+def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float):
     """Semismooth Newton from a (k, n) stack of starts; returns the (k, n) points and (k,) residuals.
 
     After one monotone pass, each of up to eight rounds makes one face recovery and one monotone
     pass over the starts above ``tol``; a start keeps a restart only while it lowers the residual.
     """
-    x, res = _monotone_newton(instance, x0, max_iter, tol)
+    x, res = _monotone_newton(instance, x0, tol)
     rows = np.arange(len(x))
     for _ in range(8):
         rows = rows[~(res[rows] <= tol)]
@@ -163,7 +164,7 @@ def _newton_from(instance: TcpInstance, x0: np.ndarray, max_iter: int, tol: floa
             break
         restarts, has_restart = _face_recovery(instance, x[rows])
         rows = rows[has_restart]
-        x_new, res_new = _monotone_newton(instance, restarts[has_restart], max_iter, tol)
+        x_new, res_new = _monotone_newton(instance, restarts[has_restart], tol)
         better = ~(res_new >= res[rows])
         rows = rows[better]
         x[rows], res[rows] = x_new[better], res_new[better]
@@ -184,7 +185,6 @@ def _start_points(instance: TcpInstance, starts: int, seed: int):
 def solve(
     instance: TcpInstance,
     starts: int = DEFAULT_STARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> TcpOutcome:
@@ -198,7 +198,7 @@ def solve(
         raise ValueError(f"starts must be >= 1, got {starts}")
     best: Optional[tuple[np.ndarray, float]] = None
     for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
-        [x], [res] = _newton_from(instance, x0[None], max_iter, tol)
+        [x], [res] = _newton_from(instance, x0[None], tol)
         if res <= tol or best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
             best = (x, res)
         if res <= tol:
@@ -263,25 +263,19 @@ def verify_solution_bounds(tensor: Tensor, q, outcome: TcpOutcome) -> SolutionBo
     holds = True
     for name, bound, attained in checks:
         if abs(bound - attained) <= NEAR_TIE_SLACK:
-            logger.warning("near tie on the %s-norm bound: %r vs %r", name, bound, attained)
+            logger.warning("near tie on the %s-norm bound: %r vs %r", name, float(bound), float(attained))
         if not bound < attained + NEAR_TIE_SLACK:
             holds = False
     return replace(certificate, holds=holds)
 
 
-def boundedness_probe(
-    tensor: Tensor,
-    q,
-    radius_schedule=(1.0, 10.0, 100.0),
-    starts: int = 8,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool:
     """Falsification probe of solution-set boundedness.
 
-    Solves from random starts scaled to each radius and reports True when
-    every converged solution stays within 10x the smallest radius at which
-    the solution set stops changing.
+    Solves from ``starts`` random starts scaled to each radius of
+    ``PROBE_RADII`` (1, 10 and 100) and reports True when every solution
+    within ``DEFAULT_TOL`` stays within 10x the smallest radius at which the
+    solution set stops changing.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
@@ -289,11 +283,11 @@ def boundedness_probe(
     instance = TcpInstance(tensor, q)
     rng = np.random.default_rng(seed)
     per_radius: list[list[np.ndarray]] = []
-    for radius in radius_schedule:
+    for radius in PROBE_RADII:
         found: list[np.ndarray] = []
-        x0 = np.array([rng.uniform(0.0, float(radius), size=tensor.dim) for _ in range(starts)])
-        for x, res in zip(*_newton_from(instance, x0, DEFAULT_MAX_ITER, tol)):
-            if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
+        x0 = np.array([rng.uniform(0.0, radius, size=tensor.dim) for _ in range(starts)])
+        for x, res in zip(*_newton_from(instance, x0, DEFAULT_TOL)):
+            if res <= DEFAULT_TOL and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
                 found.append(x)
         per_radius.append(found)
 
@@ -302,10 +296,10 @@ def boundedness_probe(
             any(np.max(np.abs(x - y)) <= 1e-6 for y in b) for x in a
         )
 
-    stable_radius = float(radius_schedule[-1])
+    stable_radius = PROBE_RADII[-1]
     for k in range(1, len(per_radius)):
         if same(per_radius[k - 1], per_radius[k]):
-            stable_radius = float(radius_schedule[k - 1])
+            stable_radius = PROBE_RADII[k - 1]
             break
     all_solutions = [x for found in per_radius for x in found]
     return all(float(np.max(np.abs(x))) < 10.0 * stable_radius for x in all_solutions)

@@ -63,11 +63,11 @@ def serial_face_recovery(instance, x):
     return None
 
 
-def serial_newton_from(instance, x0, max_iter, tol):
+def serial_newton_from(instance, x0, tol):
     """Semismooth Newton with face-recovery restarts start by start: the reference for each row
     of ``tcp._newton_from``.  Returns one (x, residual) per start."""
     results = []
-    for x, res in zip(*_monotone_newton(instance, x0, max_iter, tol)):
+    for x, res in zip(*_monotone_newton(instance, x0, tol)):
         res = float(res)
         for _ in range(8):
             if res <= tol:
@@ -75,7 +75,7 @@ def serial_newton_from(instance, x0, max_iter, tol):
             restart = serial_face_recovery(instance, x)
             if restart is None:
                 break
-            [x_new], [res_new] = _monotone_newton(instance, restart[None], max_iter, tol)
+            [x_new], [res_new] = _monotone_newton(instance, restart[None], tol)
             if res_new >= res:
                 break
             x, res = x_new, float(res_new)

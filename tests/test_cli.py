@@ -291,7 +291,7 @@ class TestTcpCommand:
         assert not out
         assert "starts must be >= 1" in err
 
-    @pytest.mark.parametrize("vector", ["[NaN,-1,-1]", "[-1,Infinity,-1]", "[1e400,-1,-1]", '{"a": 1}'])
+    @pytest.mark.parametrize("vector", ["[NaN,-1,-1]", "[-1,Infinity,-1]", "[1e400,-1,-1]", '{"a": 1}', "[1,"])
     @pytest.mark.parametrize(
         "argv", [["solve", EX41, "--q"], ["verify", EX41, "--q", "[-1,-1,-1]", "--x"]]
     )
@@ -311,6 +311,15 @@ class TestTcpCommand:
             main(["tcp", command, EX41, "--q", "[-1,-1,-1]", *x, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_bounds_that_fail_are_a_verification_failure(self, capsys):
+        # Within tol 10, x = (1e-6, 0, 0) counts as converged, but its norm is far below the bounds.
+        code, out, err = run_cli(
+            capsys, "tcp", "verify", EX41, "--q", "[-1,-1,-1]", "--x", "[1e-6,0,0]", "--tol", "10"
+        )
+        assert code == 1
+        assert json.loads(out)["holds"] is False
+        assert err == "bounds hold: False\n"
 
     def test_zero_solution_verify_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -478,6 +487,12 @@ class TestGenCommand:
         _, first, _ = run_cli(capsys, "gen", "--m", "4", "--n", "3", "--kind", "B", "--seed", "1")
         _, second, _ = run_cli(capsys, "gen", "--m", "4", "--n", "3", "--kind", "B", "--seed", "1")
         assert first == second
+
+    def test_random_kind_deterministic_bytes(self, capsys):
+        argv = ["gen", "--m", "3", "--n", "2", "--kind", "random", "--seed", "5"]
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second
+        assert first[0] == 0 and len(json.loads(first[1])["dense"]) == 8
 
     @pytest.mark.parametrize("kind,verdict", [("B", "B"), ("B0", "B0")])
     def test_kinds_classify_as_labeled(self, capsys, tmp_path, kind, verdict):

@@ -9,7 +9,6 @@ from btensor import (
     Tensor,
     UnsupportedOrder,
     bound_report,
-    classify,
     estimate_norm,
     f_norm_bounds,
     general_upper_bound,
@@ -41,6 +40,10 @@ class TestGeneralUpperBound:
     def test_f_max_norm(self, ex41):
         assert abs(general_upper_bound(ex41, "F", INF) - 57.0 ** (1 / 3)) <= 1e-12
 
+    def test_unknown_operator_rejected(self, ex41):
+        with pytest.raises(ValueError, match="operator must be 'T' or 'F', got 'X'"):
+            general_upper_bound(ex41, "X")
+
 
 class TestTBounds:
     def test_bundled_example_max_norm(self, ex41):
@@ -69,6 +72,10 @@ class TestTBounds:
     def test_strict_tensor_qualifies_for_nonstrict_variant(self, ex41):
         lower, upper = t_norm_bounds(ex41, INF, "B0")
         assert (lower, upper) == (18.0, 54.0)  # cap term only
+
+    def test_exponent_below_one_rejected(self, ex41):
+        with pytest.raises(ValueError, match="norm exponent must be >= 1 or inf, got 0.5"):
+            t_norm_bounds(ex41, 0.5)
 
 
 class TestFBounds:
@@ -205,14 +212,6 @@ class TestBoundReport:
             report = closed_form_report(ex41, operator, 2.0)
         assert report.variant == "B"
         assert len(calls) == 1
-
-    def test_bracket_reads_a_given_classification(self, rng):
-        tensor = random_b0_tensor(4, 3, rng)
-        membership = classify(tensor)
-        assert t_norm_bounds(tensor, 2.0, "B0", membership) == t_norm_bounds(tensor, 2.0, "B0")
-        assert f_norm_bounds(tensor, INF, "B0", membership) == f_norm_bounds(tensor, INF, "B0")
-        with pytest.raises(ClassificationError):  # the given verdict is still checked
-            t_norm_bounds(tensor, 2.0, "B", membership)
 
     def test_estimate_rejects_negative_steps(self, ex41):
         with pytest.raises(ValueError, match="ascent_steps must be >= 0"):

@@ -5,11 +5,14 @@ load when a name from them is first read.  Each check runs in a fresh
 interpreter, where nothing has been imported yet.
 """
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -148,3 +151,28 @@ def test_every_traced_target_resolves():
         "print(json.dumps([callable(obj) for obj in found]))\n"
     )
     assert dict(zip(pairs, json.loads(out))) == {pair: True for pair in pairs}
+
+
+def _load_workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module, loaded by path without writing bytecode beside it."""
+    path = Path(SRC).parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["cli_structure", "norm_sandwich", "eigen_search", "tcp_solve"])
+def test_benchmark_calls_run(monkeypatch, tmp_path, name):
+    # Each workload's runner on the first two items of its pool: every library call and
+    # option the benchmark makes must still exist.  The first tcp_solve item is the ex41 probe.
+    import btensor
+
+    workloads = _load_workloads(monkeypatch)
+    items = workloads.make_pool(name, 61, btensor, tmp_path, limit=2)
+    assert len(items) == 2
+    records = [workloads.RUNNERS[name](btensor, item) for item in items]
+    if name == "tcp_solve":
+        assert records[0]["bounded"] is True and "certificate" in records[0]

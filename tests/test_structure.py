@@ -15,7 +15,7 @@ from btensor import (
     semipositivity_certificate,
     simplex_lattice,
 )
-from btensor.structure import _diag_flat_positions
+from btensor.structure import _diag_flat_positions, require_membership
 
 from oracles import naive_diag_flat_positions, naive_row_sums, naive_simplex_lattice
 
@@ -138,6 +138,10 @@ class TestDiagnostics:
             membership_diagnostics(b0, strict=True)
         assert membership_diagnostics(b0, strict=False).all_hold()
 
+    def test_unknown_variant_rejected(self, ex41):
+        with pytest.raises(ValueError, match="variant must be 'B' or 'B0', got 'C'"):
+            require_membership(ex41, "C")
+
 
 class TestSimplexLattice:
     def test_count_and_normalization(self):
@@ -156,6 +160,10 @@ class TestSimplexLattice:
     def test_size_guard(self):
         with pytest.raises(GridTooLarge):
             simplex_lattice(2000, 4)
+
+    def test_resolution_below_one_rejected(self):
+        with pytest.raises(ValueError, match="resolution must be >= 1, got 0"):
+            simplex_lattice(0, 3)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_matches_product_oracle(self, dim):

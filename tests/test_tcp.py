@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,13 +15,13 @@ from btensor import (
     verify_solution_bounds,
 )
 from btensor.tcp import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     TcpInstance,
     TcpOutcome,
     _face_recovery,
     _monotone_newton,
     _newton_from,
+    outcome_at,
 )
 
 import oracles
@@ -133,6 +134,10 @@ class TestSolutionLowerBounds:
         with pytest.raises(ClassificationError):
             solution_lower_bounds(Tensor.zeros(3, 2), np.array([-1.0, 0.0]))
 
+    def test_q_of_the_wrong_length_rejected(self, ex41):
+        with pytest.raises(ValueError, match=r"q must have length 3, got shape \(2,\)"):
+            solution_lower_bounds(ex41, [-1, -1])
+
 
 class TestVerifySolutionBounds:
     def test_bundled_example_holds(self, ex41):
@@ -155,6 +160,19 @@ class TestVerifySolutionBounds:
         )
         with pytest.raises(ValueError, match="nonzero"):
             verify_solution_bounds(ex41, np.ones(3), zero)
+
+    def test_near_tie_is_logged_with_plain_floats(self, ex41, caplog):
+        # x = (lb_inf ** (1/3), 0, 0) attains the max-norm bound up to rounding.
+        q = -np.ones(3)
+        lb_inf = float(solution_lower_bounds(ex41, q).lb_inf)
+        outcome = outcome_at(make_instance(ex41, q), [lb_inf ** (1.0 / 3.0), 0.0, 0.0], tol=10.0)
+        attained = float(outcome.x[0] ** 3)
+        assert abs(lb_inf - attained) <= 1e-12
+        with caplog.at_level(logging.WARNING, logger="btensor.tcp"):
+            verify_solution_bounds(ex41, q, outcome)
+        assert [record.getMessage() for record in caplog.records] == [
+            f"near tie on the inf-norm bound: {lb_inf!r} vs {attained!r}"
+        ]
 
     def test_unconverged_outcome_rejected(self, ex41):
         bad = TcpOutcome(
@@ -207,8 +225,8 @@ class TestStackedSearch:
 
     @staticmethod
     def assert_newton_rows_equal_serial(instance, x0):
-        x, res = _newton_from(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
-        alone = serial_newton_from(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
+        x, res = _newton_from(instance, x0, DEFAULT_TOL)
+        alone = serial_newton_from(instance, x0, DEFAULT_TOL)
         assert len(x) == len(res) == len(alone)
         for k, (x_alone, res_alone) in enumerate(alone):
             assert _hexes(x[k], res[k]) == _hexes(x_alone, res_alone), k
@@ -235,7 +253,7 @@ class TestStackedSearch:
         for tensor in (ex41, random_b_tensor(3, 5, rng), random_b_tensor(4, 3, rng)):
             instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
             x0 = rng.uniform(0.0, 10.0, (12, tensor.dim))
-            blocked, _ = _monotone_newton(instance, x0, DEFAULT_MAX_ITER, DEFAULT_TOL)
+            blocked, _ = _monotone_newton(instance, x0, DEFAULT_TOL)
             _, has_restart = self.assert_recovery_rows_equal_serial(instance, np.vstack([blocked, x0]))
             assert has_restart.any()
 
@@ -279,7 +297,7 @@ class TestStackedSearch:
         rounds = []
         for start in x0:
             calls.clear()
-            serial_newton_from(instance, start[None], DEFAULT_MAX_ITER, DEFAULT_TOL)
+            serial_newton_from(instance, start[None], DEFAULT_TOL)
             rounds.append(len(calls))
         assert {0, 1} <= set(rounds) and max(rounds) >= 2, rounds
         monkeypatch.undo()
@@ -297,10 +315,10 @@ class TestScalingAndBoundedness:
 
     def test_unit_diagonal_probe(self):
         tensor = Tensor.diagonal_tensor(4, 3)
-        assert boundedness_probe(tensor, -np.ones(3), (1.0, 10.0, 100.0))
+        assert boundedness_probe(tensor, -np.ones(3))
 
     def test_bundled_example_probe(self, ex42):
-        assert boundedness_probe(ex42, -np.ones(4), (1.0, 10.0, 100.0))
+        assert boundedness_probe(ex42, -np.ones(4))
 
     def test_nonnegative_q_probe(self, rng):
         tensor = random_b_tensor(3, 3, rng)

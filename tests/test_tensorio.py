@@ -75,6 +75,7 @@ def test_loads_reports_json_location():
         ({"order": 2, "dim": 2, "entries": [[[1], 1.0]]}, "index needs 2 components"),
         ({"order": 2, "dim": 2, "entries": [[1.0]]}, "expected"),
         ([1, 2], "must be an object"),
+        ({"order": 3, "dim": 2, "entries": {}}, r"'entries' must be a list of \[index, value\] pairs"),
     ],
 )
 def test_format_errors(obj, message):
