@@ -3,9 +3,10 @@
 The solver runs :func:`core.damped_newton` on the natural residual
 ``min(x, w)`` (semismooth, with projection onto the nonnegative orthant) on
 a stack of starts, then face-recovery restarts, each round stacked over the
-starts still unsolved.  ``solve`` tries its starts one at a time and keeps
-the first that converges; the boundedness probe runs each radius's starts as
-one stack.  For strict-class tensors the solution set is nonempty and
+starts still unsolved.  ``solve`` runs its first start alone and, only if
+that fails, all its other starts as one stack, keeping the first in start
+order that converges; the boundedness probe runs the starts of every radius
+as one stack.  For strict-class tensors the solution set is nonempty and
 bounded, and every nonzero solution obeys closed-form lower bounds driven by
 the positive part of ``-q`` and the diagonal entries; this module computes
 those certificates and verifies them against solver output.
@@ -171,17 +172,6 @@ def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float):
     return x, res
 
 
-def _start_points(instance: TcpInstance, starts: int, seed: int):
-    """The starts, made as they are asked for: 0.5, 1 and 2 times the base point, then seeded draws."""
-    tensor, q = instance.tensor, instance.q
-    base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
-    yield from [0.5 * base, base, 2.0 * base][:starts]
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + float(base.max(initial=0.0))
-    for _ in range(starts - 3):
-        yield rng.uniform(0.0, scale, size=tensor.dim)
-
-
 def solve(
     instance: TcpInstance,
     starts: int = DEFAULT_STARTS,
@@ -190,20 +180,30 @@ def solve(
 ) -> TcpOutcome:
     """Multistart semismooth Newton solve.
 
-    Returns the first start that reaches the tolerance, otherwise the best
-    point found (smallest residual, ties broken by lexicographically
-    smallest x).  Non-convergence is reported, not raised.
+    The starts are 0.5, 1 and 2 times the base point ``max(-q, 0) ** (1/(m-1))``,
+    then seeded uniform draws.  The first start runs alone, as it nearly
+    always converges; only when it does not are the other starts drawn, and
+    they run as one stack.  Returns the first start, in start order, that
+    reaches the tolerance, otherwise the best point found (smallest residual,
+    ties broken by lexicographically smallest x).  Non-convergence is
+    reported, not raised.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    best: Optional[tuple[np.ndarray, float]] = None
-    for used, x0 in enumerate(_start_points(instance, starts, seed), start=1):
-        [x], [res] = _newton_from(instance, x0[None], tol)
-        if res <= tol or best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
-            best = (x, res)
+    tensor, q = instance.tensor, instance.q
+    base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
+    [best], [best_res] = _newton_from(instance, 0.5 * base[None], tol)
+    if best_res <= tol or starts == 1:
+        return outcome_at(instance, best, tol, 1)
+    scale = 1.0 + float(base.max(initial=0.0))
+    draws = np.random.default_rng(seed).uniform(0.0, scale, size=(max(starts - 3, 0), tensor.dim))
+    x0 = np.vstack([base, 2.0 * base, draws])[: starts - 1]
+    for used, (x, res) in enumerate(zip(*_newton_from(instance, x0, tol)), start=2):
         if res <= tol:
-            break
-    return outcome_at(instance, best[0], tol, used)
+            return outcome_at(instance, x, tol, used)
+        if res < best_res or (res == best_res and tuple(x) < tuple(best)):
+            best, best_res = x, res
+    return outcome_at(instance, best, tol, starts)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,11 @@ class SolutionBoundCertificate(Report):
 
 
 def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
-    """Closed-form certificate for a strict-class tensor."""
+    """Closed-form certificate for a strict-class tensor.
+
+    Input too large for a bound in floating point raises ``ValueError`` naming the first such bound,
+    with numpy's overflow warnings silenced, as the error says it (else the bound would read 0 or inf).
+    """
     require_membership(tensor, "B")
     q = np.asarray(q, dtype=float)
     if q.shape != (tensor.dim,):
@@ -230,13 +234,24 @@ def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     neg = np.maximum(-q, 0.0)
-    lb_inf = vector_norm(neg, math.inf) / (n ** (m - 1) * diag.max())
-    lb_2 = vector_norm(neg, 2) / (n ** ((m - 1) / 2) * math.sqrt(float(np.sum(diag**2))))
-    lb_m = None
-    if m % 2 == 0:
-        denom = n ** ((m - 1) ** 2 / m) * float(np.sum(diag ** (m / (m - 1)))) ** ((m - 1) / m)
-        lb_m = vector_norm(neg, m) / denom
-    return SolutionBoundCertificate(q_plus_neg=neg, lb_inf=lb_inf, lb_2=lb_2, lb_m=lb_m)
+    with np.errstate(over="ignore"):
+        # (name, numerator, denominator) of each bound.
+        parts = [
+            ("lb_inf", vector_norm(neg, math.inf), float(n ** (m - 1) * diag.max())),
+            ("lb_2", vector_norm(neg, 2), n ** ((m - 1) / 2) * math.sqrt(float(np.sum(diag**2)))),
+        ]
+        if m % 2 == 0:
+            denominator = n ** ((m - 1) ** 2 / m) * float(np.sum(diag ** (m / (m - 1)))) ** ((m - 1) / m)
+            parts.append(("lb_m", vector_norm(neg, m), denominator))
+    bounds = {"lb_m": None}
+    for name, numerator, denominator in parts:
+        if not (math.isfinite(numerator) and math.isfinite(denominator)):
+            raise ValueError(
+                f"{name} overflows (numerator {numerator}, denominator {denominator}): "
+                "the input is too large for the closed-form bound"
+            )
+        bounds[name] = numerator / denominator
+    return SolutionBoundCertificate(q_plus_neg=neg, **bounds)
 
 
 def verify_solution_bounds(tensor: Tensor, q, outcome: TcpOutcome) -> SolutionBoundCertificate:
@@ -273,22 +288,24 @@ def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool
     """Falsification probe of solution-set boundedness.
 
     Solves from ``starts`` random starts scaled to each radius of
-    ``PROBE_RADII`` (1, 10 and 100) and reports True when every solution
-    within ``DEFAULT_TOL`` stays within 10x the smallest radius at which the
-    solution set stops changing.
+    ``PROBE_RADII`` (1, 10 and 100), drawn radius by radius and run as one
+    stack, and reports True when every solution within ``DEFAULT_TOL`` stays
+    within 10x the smallest radius at which the solution set stops changing.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     require_membership(tensor, "B")
     instance = TcpInstance(tensor, q)
     rng = np.random.default_rng(seed)
+    shape = (len(PROBE_RADII), starts, tensor.dim)
+    x0 = rng.uniform(0.0, np.array(PROBE_RADII)[:, None, None], size=shape)
+    x, res = _newton_from(instance, x0.reshape(-1, tensor.dim), DEFAULT_TOL)
     per_radius: list[list[np.ndarray]] = []
-    for radius in PROBE_RADII:
+    for points, residuals in zip(x.reshape(shape), res.reshape(shape[:2])):
         found: list[np.ndarray] = []
-        x0 = np.array([rng.uniform(0.0, radius, size=tensor.dim) for _ in range(starts)])
-        for x, res in zip(*_newton_from(instance, x0, DEFAULT_TOL)):
-            if res <= DEFAULT_TOL and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
-                found.append(x)
+        for point, r in zip(points, residuals):
+            if r <= DEFAULT_TOL and not any(np.max(np.abs(point - y)) <= 1e-6 for y in found):
+                found.append(point)
         per_radius.append(found)
 
     def same(a: list[np.ndarray], b: list[np.ndarray]) -> bool:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from btensor.tcp import _monotone_newton
+from btensor.tcp import TcpInstance, _monotone_newton, _newton_from, outcome_at
 
 
 def naive_contract(tensor, x):
@@ -81,6 +81,56 @@ def serial_newton_from(instance, x0, tol):
             x, res = x_new, float(res_new)
         results.append((x, res))
     return results
+
+
+def serial_solve(instance, starts, tol, seed):
+    """``tcp.solve`` start at a time: each start made as it is asked for and run alone, up to the
+    first that converges.  Returns the outcome of the kept start."""
+    tensor, q = instance.tensor, instance.q
+    base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
+
+    def start_points():
+        yield from [0.5 * base, base, 2.0 * base][:starts]
+        rng = np.random.default_rng(seed)
+        scale = 1.0 + float(base.max(initial=0.0))
+        for _ in range(starts - 3):
+            yield rng.uniform(0.0, scale, size=tensor.dim)
+
+    best = None
+    for used, x0 in enumerate(start_points(), start=1):
+        [x], [res] = _newton_from(instance, x0[None], tol)
+        if res <= tol or best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
+            best = (x, res)
+        if res <= tol:
+            break
+    return outcome_at(instance, best[0], tol, used)
+
+
+def serial_boundedness_probe(tensor, q, starts, seed, radii, tol):
+    """``tcp.boundedness_probe`` radius at a time, one ``_newton_from`` stack per radius.
+    Returns the (x, residual) of every start, radius by radius, and the verdict."""
+    instance = TcpInstance(tensor, q)
+    rng = np.random.default_rng(seed)
+    rows, per_radius = [], []
+    for radius in radii:
+        found = []
+        x0 = np.array([rng.uniform(0.0, radius, size=tensor.dim) for _ in range(starts)])
+        for x, res in zip(*_newton_from(instance, x0, tol)):
+            rows.append((x, res))
+            if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
+                found.append(x)
+        per_radius.append(found)
+
+    def same(a, b):
+        return len(a) == len(b) and all(any(np.max(np.abs(x - y)) <= 1e-6 for y in b) for x in a)
+
+    stable_radius = radii[-1]
+    for k in range(1, len(per_radius)):
+        if same(per_radius[k - 1], per_radius[k]):
+            stable_radius = radii[k - 1]
+            break
+    bounded = all(float(np.max(np.abs(x))) < 10.0 * stable_radius for found in per_radius for x in found)
+    return rows, bounded
 
 
 def naive_is_symmetric(array):

@@ -420,6 +420,20 @@ class TestNonFiniteReport:
         assert "error: w[0] is inf" in run.stderr
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    def test_tcp_certificate_overflow_is_an_input_error(self, tmp_path, command):
+        big = load_tensor(EX41).array.copy()
+        big[0, 0, 0, 0] = 1e308
+        path = tmp_path / "big.json"
+        dump_tensor(Tensor(big), path)
+        extra = ["--x", "[1e-3,0,0]", "--tol", "10"] if command == "verify" else []
+        run = self.run_module("tcp", command, str(path), "--q", "[-1,-1,-1]", *extra)
+        assert run.returncode == 2
+        assert not run.stdout
+        assert run.stderr.splitlines() == [
+            "error: lb_inf overflows (numerator 1.0, denominator inf): the input is too large for the closed-form bound"
+        ]
+
     def test_path_of_first_non_finite_value(self):
         from btensor.cli import _non_finite
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from btensor import (
     tcp_solve,
     verify_solution_bounds,
 )
+from btensor import tcp
 from btensor.tcp import (
     DEFAULT_TOL,
+    PROBE_RADII,
     TcpInstance,
     TcpOutcome,
     _face_recovery,
@@ -29,9 +32,13 @@ from oracles import (
     grid_min_residual,
     naive_contract,
     radial_grid_oracle,
+    serial_boundedness_probe,
     serial_face_recovery,
     serial_newton_from,
+    serial_solve,
 )
+
+TCP_SHAPES = [(3, 2), (3, 3), (4, 2), (4, 3), (3, 5), (4, 4)]  # the shapes of the tcp_solve benchmark
 
 
 def make_instance(tensor, q):
@@ -137,6 +144,26 @@ class TestSolutionLowerBounds:
     def test_q_of_the_wrong_length_rejected(self, ex41):
         with pytest.raises(ValueError, match=r"q must have length 3, got shape \(2,\)"):
             solution_lower_bounds(ex41, [-1, -1])
+
+    def test_bounds_are_plain_floats(self, ex41, ex42, rng):
+        for tensor, q in ((ex41, -np.ones(3)), (ex42, [-1.0, 0.0, 0.0, 0.0]), (random_b_tensor(3, 2, rng), [-1.0, 0.0])):
+            certificate = solution_lower_bounds(tensor, q)
+            assert type(certificate.lb_inf) is float and type(certificate.lb_2) is float
+            assert type(certificate.lb_m) is (float if tensor.order % 2 == 0 else type(None))
+
+    def test_overflow_raises_naming_the_first_bound(self, ex41, ex42):
+        big = ex41.array.copy()
+        big[0, 0, 0, 0] = 1e308
+        cases = [
+            (Tensor(big), -np.ones(3), "lb_inf"),
+            (Tensor.diagonal_tensor(3, 2, [1e200, 1e200]), -np.ones(2), "lb_2"),  # the sum of squares
+            (ex42, [-1e100, 0.0, 0.0, 0.0], "lb_m"),  # the 4-norm of q; its 2-norm is finite
+        ]
+        for tensor, q, name in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"^{name} overflows"):
+                    solution_lower_bounds(tensor, q)
 
 
 class TestVerifySolutionBounds:
@@ -331,3 +358,141 @@ class TestScalingAndBoundedness:
     def test_probe_requires_strict_class(self):
         with pytest.raises(ClassificationError):
             boundedness_probe(Tensor.zeros(3, 2), np.array([-1.0, 0.0]))
+
+
+def _failing_first_member(seed):
+    # Order-3, dim-2 strict members (found by search) whose first start does not converge.
+    rng = np.random.default_rng(seed)
+    tensor = random_b_tensor(3, 2, rng)
+    return make_instance(tensor, rng.uniform(-1.0, 1.0, 2))
+
+
+class TestStackedMultistart:
+    """``solve`` and ``boundedness_probe`` run their starts as stacks and give the bits of the
+    serial references in ``tests/oracles.py``: each start alone, and one stack per radius."""
+
+    @staticmethod
+    def assert_solve_equals_serial(instance, starts, seed):
+        outcome = tcp_solve(instance, starts=starts, seed=seed)
+        serial = serial_solve(instance, starts, DEFAULT_TOL, seed)
+        assert _hexes(outcome.x, outcome.w, outcome.residual) == _hexes(serial.x, serial.w, serial.residual)
+        assert (outcome.converged, outcome.starts_used) == (serial.converged, serial.starts_used)
+        return outcome
+
+    @staticmethod
+    def assert_probe_equals_serial(monkeypatch, tensor, q, starts, seed):
+        calls, newton_from = [], tcp._newton_from
+        monkeypatch.setattr(tcp, "_newton_from", lambda *a: calls.append(newton_from(*a)) or calls[-1])
+        bounded = boundedness_probe(tensor, q, starts=starts, seed=seed)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        rows, serial_bounded = serial_boundedness_probe(tensor, q, starts, seed, PROBE_RADII, DEFAULT_TOL)
+        (x, res), = calls
+        assert len(x) == len(rows) == len(PROBE_RADII) * starts
+        assert _hexes(x, res) == _hexes([r[0] for r in rows], [r[1] for r in rows])
+        assert bounded == serial_bounded
+        return bounded
+
+    @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
+    def test_solve_on_the_examples_and_the_six_shapes(self, ex41, ex42, starts):
+        rng = np.random.default_rng(starts)
+        for tensor in (ex41, ex42, *(random_b_tensor(m, n, rng) for m, n in TCP_SHAPES)):
+            for _ in range(2):
+                q = rng.uniform(-1.0, 1.0, tensor.dim)
+                q[int(rng.integers(tensor.dim))] = -float(rng.uniform(0.2, 1.0))
+                self.assert_solve_equals_serial(make_instance(tensor, q), starts, int(rng.integers(1000)))
+
+    @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("seed", [343, 376, 808])
+    def test_solve_whose_first_start_fails(self, starts, seed):
+        outcome = self.assert_solve_equals_serial(_failing_first_member(seed), starts, seed)
+        assert (outcome.starts_used > 1) == (starts > 1)
+        if starts == 16:
+            assert outcome.converged
+
+    @pytest.mark.parametrize("starts", [2, 3, 4, 16])
+    @pytest.mark.parametrize("seed", [946, 1581])
+    def test_solve_where_no_start_converges_keeps_the_best(self, starts, seed):
+        outcome = self.assert_solve_equals_serial(_failing_first_member(seed), starts, seed)
+        assert not outcome.converged and outcome.starts_used == starts
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_residual_tie_goes_to_the_lexicographically_smallest_point(self, seed):
+        # With A = 0 the slack is q everywhere: every start stops where it began at residual 1.
+        instance = make_instance(Tensor.zeros(3, 2), [-1.0, -1.0])
+        outcome = self.assert_solve_equals_serial(instance, 16, seed)
+        draws = np.random.default_rng(seed).uniform(0.0, 2.0, size=(13, 2))
+        starts = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), *map(tuple, draws)]
+        assert outcome.residual == 1.0 and tuple(outcome.x) == min(starts) != starts[0]
+
+    def test_stack_with_one_singular_jacobian_row(self, monkeypatch):
+        # At x = (x0, 0) the slack is (-1, 1 - x0**2 / 2): the later start (1, 0) has a singular
+        # Jacobian (rows [0, -x0] and [0, 1]); (2, 0) and the draw do not.
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 1], arr[0, 1, 1], arr[1, 0, 0], arr[1, 0, 1], arr[1, 1, 1] = -1.0, 0.5, -0.5, -1.0, 0.5
+        instance = make_instance(Tensor(arr), [-1.0, 1.0])
+        solve, lstsq, calls = np.linalg.solve, np.linalg.lstsq, []
+
+        def logging_solve(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                calls.append(f"singular stack of {len(a)}" if a.ndim == 3 else "singular row")
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", logging_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
+        outcome = tcp_solve(instance, starts=4, seed=0)
+        monkeypatch.undo()
+        assert outcome.converged and outcome.starts_used == 3
+        # The first start fails alone; then the stack of the other three falls back to row by
+        # row once, and only one row needs lstsq.
+        assert calls == ["singular stack of 1", "singular row", "lstsq", "singular stack of 3", "singular row", "lstsq"]
+        self.assert_solve_equals_serial(instance, 4, 0)
+
+    @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
+    def test_probe_on_the_examples_and_the_six_shapes(self, monkeypatch, ex41, ex42, starts):
+        rng = np.random.default_rng(100 + starts)
+        shapes = TCP_SHAPES if starts < 16 else TCP_SHAPES[:2]
+        for tensor in (ex41, ex42, *(random_b_tensor(m, n, rng) for m, n in shapes)):
+            q = rng.uniform(-2.0, 1.0, tensor.dim)
+            self.assert_probe_equals_serial(monkeypatch, tensor, q, starts, int(rng.integers(1000)))
+
+    def test_probe_on_a_member_whose_solve_fails(self, monkeypatch):
+        instance = _failing_first_member(946)
+        self.assert_probe_equals_serial(monkeypatch, instance.tensor, instance.q, 8, 3)
+
+
+class TestMultistartWork:
+    """The stacks are one ``_newton_from`` call each, and ``solve`` draws no start it does not run."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {"newton": 0, "rng": 0}
+        newton_from, default_rng = tcp._newton_from, np.random.default_rng
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+        monkeypatch.setattr(tcp, "_newton_from", counted("newton", newton_from))
+        monkeypatch.setattr(np.random, "default_rng", counted("rng", default_rng))
+        return calls
+
+    @pytest.mark.parametrize("starts", [1, 8])
+    def test_probe_calls_newton_once(self, monkeypatch, ex41, starts):
+        calls = self.count(monkeypatch)
+        boundedness_probe(ex41, -np.ones(3), starts=starts)
+        assert calls == {"newton": 1, "rng": 1}
+
+    @pytest.mark.parametrize("starts", [1, 2, 16])
+    def test_solve_whose_first_start_converges_makes_no_draws(self, monkeypatch, ex41, starts):
+        calls = self.count(monkeypatch)
+        assert tcp_solve(make_instance(ex41, -np.ones(3)), starts=starts).starts_used == 1
+        assert calls == {"newton": 1, "rng": 0}
+
+    @pytest.mark.parametrize("seed", [343, 946])
+    def test_solve_whose_first_start_fails_calls_newton_twice(self, monkeypatch, seed):
+        instance = _failing_first_member(seed)
+        calls = self.count(monkeypatch)
+        assert tcp_solve(instance, starts=16, seed=seed).starts_used > 1
+        assert calls == {"newton": 2, "rng": 1}
