@@ -97,20 +97,23 @@ class EigenBoundReport(Report):
 
 
 def eigenvalue_bounds(tensor: Tensor, variant: str = "B", report=None) -> EigenBoundReport:
-    """Diagonal-only bounds: strict for the strict class, non-strict otherwise.
+    """Diagonal-only bounds: strict for the strict class in dimension >= 2, non-strict otherwise.
 
     The H bound ``(sum diag**(1/(m-1)))**(m-1)`` needs an even order; the Z
-    bound ``n**(m/2) * min(max diag, mean diag)`` holds for any order.  ``report`` as
-    for :func:`require_membership`.
+    bound ``n**(m/2) * min(max diag, mean diag)`` holds for any order.  In
+    dimension 1 the only eigenvalue is the diagonal entry, which both bounds
+    equal, so they are non-strict there and the H bound is that entry itself
+    (its root and power can round below it).  ``report`` as for
+    :func:`require_membership`.
     """
     require_membership(tensor, variant, report)
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     h_bound = None
     if m % 2 == 0:
-        h_bound = float(np.sum(diag ** (1.0 / (m - 1))) ** (m - 1))
+        h_bound = float(diag[0]) if n == 1 else float(np.sum(diag ** (1.0 / (m - 1))) ** (m - 1))
     z_bound = float(n ** (m / 2) * min(diag.max(), diag.sum() / n))
-    return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B")
+    return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B" and n > 1)
 
 
 def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
@@ -295,9 +298,10 @@ def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray):
 def verify_eigen_bounds(tensor: Tensor, pairs: list[EigenPair], variant: str = "B", report=None) -> EigenBoundReport:
     """Fill an :class:`EigenBoundReport` against the supplied pairs.
 
-    The comparison is strict for the strict class, non-strict otherwise.
-    H-pairs supplied at odd order cannot be compared (no H bound exists);
-    they are skipped and flagged.  ``report`` as for :func:`require_membership`.
+    The comparison is strict where the bounds are (the strict class in
+    dimension >= 2), non-strict otherwise.  H-pairs supplied at odd order
+    cannot be compared (no H bound exists); they are skipped and flagged.
+    ``report`` as for :func:`require_membership`.
     """
     skeleton = eigenvalue_bounds(tensor, variant, report)
     h_values = [abs(p.value) for p in pairs if p.kind == "H"]

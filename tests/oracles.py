@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from btensor.core import contract_batch
 from btensor.tcp import TcpInstance, _monotone_newton, _newton_from, outcome_at
 
 
@@ -236,9 +237,28 @@ def radial_grid_oracle(tensor, q, resolution=24):
 
 
 def naive_simplex_lattice(resolution, dim):
-    """Every integer vector in {0, ..., resolution}^dim summing to ``resolution``, sorted, over ``resolution``."""
-    rows = sorted(k for k in itertools.product(range(resolution + 1), repeat=dim) if sum(k) == resolution)
+    """Every vector of dim nonnegative integers summing to ``resolution``, sorted, over ``resolution``."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head,) + rest
+
+    rows = sorted(compositions(resolution, dim))
     return np.array(rows, dtype=float).reshape(-1, dim) / resolution
+
+
+def reference_semipositivity_certificate(tensor, mode, resolution):
+    """``(worst_point, worst_value, violated)`` from every lattice point scored by ``contract_batch``,
+    the first smallest support max in lattice order."""
+    points = naive_simplex_lattice(resolution, tensor.dim)
+    support_max = np.where(points > 0, contract_batch(tensor, points), -math.inf).max(axis=1)
+    worst = int(np.argmin(support_max))
+    worst_value = float(support_max[worst])
+    return points[worst], worst_value, worst_value <= 0 if mode == "strict" else worst_value < 0
 
 
 def naive_sparse_tensor(order, dim, default, entries):

@@ -250,6 +250,28 @@ class TestVerifyBounds:
         report = verify_eigen_bounds(zeros, pairs, "B0")
         assert report.all_within  # 0 <= 0 at the degenerate edge
 
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_dimension_one_attains_its_bounds(self, order):
+        # In dimension 1 the only eigenvalue is the diagonal entry a, which both
+        # bounds equal: the comparison is non-strict and the H bound is a itself.
+        for a in (0.3, 5.0, *(k / 10 for k in range(1, 22))):
+            tensor = Tensor.from_flat(order, 1, [a])
+            pairs = find_h_eigenpairs(tensor, starts=4, seed=0) + find_z_eigenpairs(tensor, starts=4, seed=0)
+            assert sorted({abs(p.value) for p in pairs}) == [a]
+            for variant in ("B", "B0"):
+                report = verify_eigen_bounds(tensor, pairs, variant)
+                assert not report.strict
+                assert report.z_bound == a
+                assert report.h_bound == (None if order % 2 else a)
+                assert report.all_within, (order, a, variant)
+
+    def test_dimension_one_h_bound_is_not_rounded(self):
+        # (0.7 ** (1/3)) ** 3 rounds to 0.6999999999999998.
+        assert eigenvalue_bounds(Tensor.from_flat(4, 1, [0.7]), "B0").h_bound == 0.7
+
+    def test_dimension_two_bounds_stay_strict(self):
+        assert eigenvalue_bounds(Tensor.diagonal_tensor(4, 2), "B").strict
+
     def test_scale_covariance_of_verdict(self, rng):
         tensor = random_b_tensor(4, 2, rng)
         pairs = find_h_eigenpairs(tensor, starts=16, seed=8)

@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +15,22 @@ from btensor import (
     membership_diagnostics,
     random_b0_tensor,
     random_b_tensor,
+    random_tensor,
     row_profile,
     semipositivity_certificate,
     simplex_lattice,
 )
+from btensor import structure
+from btensor.cli import main
 from btensor.structure import _diag_flat_positions, require_membership
+from btensor.tensorio import dump_tensor
 
-from oracles import naive_diag_flat_positions, naive_row_sums, naive_simplex_lattice
+from oracles import (
+    naive_diag_flat_positions,
+    naive_row_sums,
+    naive_simplex_lattice,
+    reference_semipositivity_certificate,
+)
 
 
 class TestRowProfile:
@@ -161,15 +174,29 @@ class TestSimplexLattice:
         with pytest.raises(GridTooLarge):
             simplex_lattice(2000, 4)
 
+    def test_size_guard_allocates_nothing(self):
+        # The points alone would take 8 * 10**6 * C(10**6 + 7, 7) bytes.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLarge):
+                simplex_lattice(10**6, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_resolution_below_one_rejected(self):
         with pytest.raises(ValueError, match="resolution must be >= 1, got 0"):
             simplex_lattice(0, 3)
 
-    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("dim", range(1, 9))
     def test_matches_product_oracle(self, dim):
-        for resolution in range(1, 10):
+        for resolution in range(1, 13):
             expected = naive_simplex_lattice(resolution, dim)
-            assert np.array_equal(simplex_lattice(resolution, dim), expected), (resolution, dim)
+            points = simplex_lattice(resolution, dim)
+            assert points.dtype == expected.dtype == np.float64
+            assert points.shape == expected.shape
+            assert np.array_equal(points, expected), (resolution, dim)
 
 
 class TestSemiPositivity:
@@ -200,6 +227,163 @@ class TestSemiPositivity:
     def test_mode_validation(self, ex41):
         with pytest.raises(ValueError, match="mode"):
             semipositivity_certificate(ex41, "sloppy", 4)
+
+
+def filter_everywhere(monkeypatch):
+    """Make the certificate filter every lattice, one point per block."""
+    monkeypatch.setattr(structure, "_FILTER_MIN_FLOATS", 0)
+    monkeypatch.setattr(structure, "_BATCH_FLOATS", 1)
+
+
+def assert_matches_reference(tensor, resolution):
+    """Both modes of the certificate equal the whole-lattice reference in every bit, with no warning."""
+    for mode in ("strict", "weak"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = semipositivity_certificate(tensor, mode, resolution)
+        point, value, violated = reference_semipositivity_certificate(tensor, mode, resolution)
+        where = (tensor.order, tensor.dim, resolution, mode)
+        assert cert.worst_point.tolist() == point.tolist(), where
+        assert cert.worst_value.hex() == value.hex(), where
+        assert cert.violated == violated, where
+
+
+def _resolutions(order, dim, budget):
+    """The resolutions 1-12 whose lattice times the row length n**(m-1) stays within ``budget``."""
+    return [r for r in range(1, 13) if math.comb(r + dim - 1, dim - 1) * dim ** (order - 1) <= budget]
+
+
+def _diagonal_ulp_apart(order, dim, at, rng):
+    """Diagonal -1, but -(1 + 2**-52) at ``at``, under small dyadic off-diagonal entries.
+
+    A vertex's support max is its diagonal entry, and every other point's
+    is above -1, so the minimum is the vertex ``at``, one ulp below the rest.
+    """
+    arr = rng.integers(-4, 5, size=(dim,) * order) / 1024.0
+    diag = np.full(dim, -1.0)
+    diag[at] = -(1.0 + 2.0**-52)
+    arr[(np.arange(dim),) * order] = diag
+    return Tensor(arr)
+
+
+class TestSemiPositivityIsExact:
+    """The filtered certificate against the whole-lattice kernel reference."""
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_random_members_and_nonmembers(self, order, forced, monkeypatch):
+        if forced:
+            filter_everywhere(monkeypatch)
+        rng = np.random.default_rng(7000 + order)
+        budget = 1 << 12 if forced else 1 << 17
+        for dim in range(1, 9):
+            for resolution in _resolutions(order, dim, budget)[::2]:
+                for make in (random_tensor, random_b_tensor, random_b0_tensor):
+                    assert_matches_reference(make(order, dim, rng), resolution)
+
+    @pytest.mark.parametrize("order,dim", [(2, 8), (3, 8), (4, 8), (5, 5), (6, 4)])
+    def test_filtered_shapes_at_bench_resolution(self, order, dim, rng):
+        for make in (random_tensor, random_b_tensor, random_b0_tensor):
+            assert_matches_reference(make(order, dim, rng), 8)
+
+    # Shapes whose lattice at resolution 8 is filtered as it is, then small ones with the filter forced.
+    TIE_SHAPES = [(3, 8, False), (4, 8, False), (5, 5, False), (3, 2, True), (3, 5, True), (4, 3, True), (6, 3, True)]
+
+    @pytest.mark.parametrize("order,dim,forced", TIE_SHAPES)
+    def test_zero_constant_and_dyadic_ties(self, order, dim, forced, monkeypatch):
+        if forced:
+            filter_everywhere(monkeypatch)
+        rng = np.random.default_rng(order * 10 + dim)
+        shape = (dim,) * order
+        tensors = [
+            Tensor.zeros(order, dim),
+            Tensor(np.full(shape, 0.1)),
+            Tensor(np.full(shape, -0.7)),
+            Tensor.diagonal_tensor(order, dim, -1.0),  # every vertex ties at -1
+            Tensor.diagonal_tensor(order, dim, 0.5),
+            Tensor(rng.integers(-2, 3, size=shape) / 4.0),
+        ]
+        for tensor in tensors:
+            for resolution in (1, 4, 8):
+                assert_matches_reference(tensor, resolution)
+
+    @pytest.mark.parametrize("order,dim,forced", TIE_SHAPES + [(2, 2, True)])
+    def test_minima_one_ulp_apart(self, order, dim, forced, monkeypatch):
+        if forced:
+            filter_everywhere(monkeypatch)
+        rng = np.random.default_rng(order + 100 * dim)
+        for at in (0, dim // 2, dim - 1):
+            tensor = _diagonal_ulp_apart(order, dim, at, rng)
+            cert = semipositivity_certificate(tensor, "strict", 8)
+            assert cert.worst_point.tolist() == np.eye(dim)[at].tolist()
+            assert cert.worst_value == -(1.0 + 2.0**-52)
+            assert_matches_reference(tensor, 8)
+            # The nudge the other way: the vertex at is one ulp above the tie of the others.
+            arr = np.array(tensor.array)
+            arr[(at,) * order] = np.nextafter(-1.0, 0.0)
+            assert_matches_reference(Tensor(arr), 8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("order,dim", [(3, 8), (4, 6), (5, 5)])
+    def test_tiny_and_subnormal_entries(self, order, dim, scale):
+        rng = np.random.default_rng(3)
+        assert_matches_reference(Tensor(rng.integers(-3, 4, size=(dim,) * order) * scale), 8)
+        assert_matches_reference(Tensor(random_b_tensor(order, dim, rng).array * scale), 8)
+
+    @pytest.mark.parametrize("order,dim,seed", [(4, 6, 7), (4, 6, 8), (5, 5, 0), (5, 5, 7)])
+    def test_subnormal_products(self, order, dim, seed):
+        # The two paths differ here by whole subnormal steps while gamma_K * max|a|
+        # underflows to 0, so only the bound's underflow term keeps the minimum a candidate.
+        arr = np.random.default_rng(seed).integers(-40, 41, size=(dim,) * order) * 5e-324
+        assert_matches_reference(Tensor(arr), 8)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.49])
+    @pytest.mark.parametrize("order,dim", [(3, 8), (4, 8), (6, 4)])
+    def test_entries_near_the_float_maximum(self, order, dim, fraction):
+        rng = np.random.default_rng(11)
+        big = fraction * sys.float_info.max
+        assert_matches_reference(Tensor(rng.choice([-big, big], size=(dim,) * order)), 8)
+        assert_matches_reference(Tensor(np.full((dim,) * order, big)), 8)
+
+    @pytest.mark.parametrize("mode", ["strict", "weak"])
+    def test_cli_at_the_float_maximum_prints_what_the_reference_gives(self, mode, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        big = sys.float_info.max
+        for name, arr in (
+            ("signs", rng.choice([-big, big], size=(8, 8, 8))),
+            ("positive", np.full((8, 8, 8, 8), big)),
+        ):
+            path = tmp_path / f"{name}.json"
+            dump_tensor(Tensor(arr), path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["semipositive", str(path), "--mode", mode])
+            out, err = capsys.readouterr()
+            assert not caught
+            point, value, violated = reference_semipositivity_certificate(Tensor(arr), mode, 8)
+            assert json.loads(out) == {
+                "mode": mode, "resolution": 8, "violated": violated,
+                "worst_point": point.tolist(), "worst_value": value,
+            }
+            assert err == f"{mode} semi-positivity at grid 8: {'violated' if violated else 'no violation found'}\n"
+            assert code == int(violated)
+
+    def test_strict_member_scores_one_row_with_the_kernel(self, monkeypatch, rng):
+        rows = []
+        kernel = structure.contract_batch
+        monkeypatch.setattr(structure, "contract_batch", lambda t, p: rows.append(len(p)) or kernel(t, p))
+        tensor = random_b_tensor(4, 8, rng)
+        cert = semipositivity_certificate(tensor, "strict", 8)
+        assert rows == [1]
+        point, value, _ = reference_semipositivity_certificate(tensor, "strict", 8)
+        assert cert.worst_point.tolist() == point.tolist() and cert.worst_value.hex() == value.hex()
+
+    def test_small_lattice_is_scored_whole(self, monkeypatch, rng):
+        rows = []
+        kernel = structure.contract_batch
+        monkeypatch.setattr(structure, "contract_batch", lambda t, p: rows.append(len(p)) or kernel(t, p))
+        semipositivity_certificate(random_b_tensor(3, 3, rng), "strict", 8)
+        assert rows == [math.comb(10, 2)]
 
 
 class TestGenerators:
