@@ -1,15 +1,14 @@
 """Tensor complementarity: find x >= 0 with w = q + contract(A, x) >= 0 and x.w = 0.
 
-The solver runs :func:`core.damped_newton` on the natural residual
-``min(x, w)`` (semismooth, with projection onto the nonnegative orthant) on
-a stack of starts, then face-recovery restarts, each round stacked over the
-starts still unsolved.  ``solve`` runs its first start alone and, only if
-that fails, all its other starts as one stack, keeping the first in start
-order that converges; the boundedness probe runs the starts of every radius
-as one stack.  For strict-class tensors the solution set is nonempty and
-bounded, and every nonzero solution obeys closed-form lower bounds driven by
-the positive part of ``-q`` and the diagonal entries; this module computes
-those certificates and verifies them against solver output.
+The solver runs :func:`core.damped_newton` on a stack of starts twice: on the natural residual
+``min(x, w)`` (semismooth, with projection onto the nonnegative orthant), then, for the starts
+that pass leaves unsolved, on the Fischer-Burmeister residual ``x + w - hypot(x, w)`` from the
+same starts.  ``solve`` runs its first start alone and, only if that fails, all its other starts
+as one stack, keeping the first in start order that converges; the boundedness probe runs the
+starts of every radius as one stack.  For strict-class tensors the solution set is nonempty and
+bounded, and every nonzero solution obeys closed-form lower bounds driven by the positive part of
+``-q`` and the diagonal entries; this module computes those certificates and verifies them
+against solver output.
 """
 from __future__ import annotations
 
@@ -88,48 +87,6 @@ def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> Tc
     return TcpOutcome(x=x, w=w, residual=res, converged=res <= tol, starts_used=starts_used)
 
 
-def _face_recovery(instance: TcpInstance, x: np.ndarray):
-    """Restarts for projected Newton rows blocked at a face: ``(restarts, has_restart)`` of a (k, n) stack.
-
-    Each row grows its most negative slack coordinate alone until the slack there changes sign
-    (the positive diagonal of the structured class guarantees it eventually does): up to 60
-    doubling steps, then 40 bisection steps; if it never turns, the next negative coordinate in
-    ``argsort`` order.  The rows step together, one :func:`contract_batch` call per step, each as
-    it would alone.  The residual may rise; the caller judges a restart by where Newton lands.
-    """
-    tensor, q = instance.tensor, instance.q
-    w = q + contract_batch(tensor, x)
-    order = np.argsort(w, axis=1)
-    restarts, has_restart = x.copy(), np.zeros(len(x), dtype=bool)
-
-    def below(rows, cols, values):
-        # Whether the slack at cols is not >= 0 (so NaN counts as negative) once x[rows, cols] = values.
-        probe, at = x[rows], (np.arange(len(rows)), cols)
-        probe[at] = values
-        return ~((q[cols] + contract_batch(tensor, probe)[at]) >= 0)
-
-    rows = np.arange(len(x))
-    for t in range(tensor.dim):
-        rows = rows[~(w[rows, order[rows, t]] >= 0)]
-        if not rows.size:
-            break
-        cols = order[rows, t]
-        lo, hi = x[rows, cols], np.maximum(2.0 * x[rows, cols], 1e-3)
-        climbing = np.arange(len(rows))
-        for _ in range(60):
-            climbing = climbing[below(rows[climbing], cols[climbing], hi[climbing])]
-            if not climbing.size:
-                break
-            lo[climbing], hi[climbing] = hi[climbing], 2.0 * hi[climbing]
-        turned, cols, lo, hi = (np.delete(a, climbing) for a in (rows, cols, lo, hi))
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = np.where(below(turned, cols, mid), (mid, hi), (lo, mid))
-        restarts[turned, cols], has_restart[turned] = hi, True
-        rows = rows[climbing]
-    return restarts, has_restart
-
-
 def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     """Damped semismooth Newton with projection on a (k, n) stack of starts; stops at stalls.
 
@@ -151,24 +108,47 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     return x, res
 
 
-def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float):
-    """Semismooth Newton from a (k, n) stack of starts; returns the (k, n) points and (k,) residuals.
+def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
+    """Damped Newton on the Fischer-Burmeister residual ``x + w - hypot(x, w)`` from a (k, n) stack.
 
-    After one monotone pass, each of up to eight rounds makes one face recovery and one monotone
-    pass over the starts above ``tol``; a start keeps a restart only while it lowers the residual.
+    Its merit ``max |phi|`` is at least ``(2 - sqrt 2)`` times the natural residual (De Luca,
+    Facchinei & Kanzow 1996), so the tolerance ``tol * (2 - sqrt 2)`` implies a natural residual
+    within ``tol``.  Returns the (k, n) points, projected onto x >= 0, and their natural residuals.
+    """
+    tensor, q = instance.tensor, instance.q
+
+    def evaluate(x):
+        w = q + contract_batch(tensor, x)
+        phi = x + w - np.hypot(x, w)
+        return x, phi, np.abs(phi).max(axis=1)
+
+    def jacobian(x, phi):
+        # diag(1 - x/r) + diag(1 - w/r) J, with x/r = w/r = 1/sqrt 2 where r = 0.
+        w = q + contract_batch(tensor, x)
+        r = np.hypot(x, w)
+        x_r, w_r = (np.divide(v, r, out=np.full_like(r, math.sqrt(0.5)), where=r > 0) for v in (x, w))
+        jac = (1.0 - w_r)[:, :, None] * contraction_jacobian(tensor, x)
+        return jac + (1.0 - x_r)[:, :, None] * np.eye(tensor.dim)
+
+    fb_tol = tol * (2.0 - math.sqrt(2.0))
+    x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12)[0], 0.0)
+    return x, np.abs(np.minimum(x, q + contract_batch(tensor, x))).max(axis=1)
+
+
+def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float):
+    """Newton from a (k, n) stack of starts; returns the (k, n) points and (k,) residuals.
+
+    One monotone pass on the natural residual; the starts it leaves above ``tol`` then make one
+    Fischer-Burmeister pass from where they began, whose point a start keeps only where its
+    natural residual is strictly lower.
     """
     x, res = _monotone_newton(instance, x0, tol)
-    rows = np.arange(len(x))
-    for _ in range(8):
-        rows = rows[~(res[rows] <= tol)]
-        if not rows.size:
-            break
-        restarts, has_restart = _face_recovery(instance, x[rows])
-        rows = rows[has_restart]
-        x_new, res_new = _monotone_newton(instance, restarts[has_restart], tol)
-        better = ~(res_new >= res[rows])
+    rows = np.flatnonzero(~(res <= tol))
+    if rows.size:
+        x_fb, res_fb = _fb_newton(instance, x0[rows], tol)
+        better = res_fb < np.nan_to_num(res[rows], nan=np.inf)
         rows = rows[better]
-        x[rows], res[rows] = x_new[better], res_new[better]
+        x[rows], res[rows] = x_fb[better], res_fb[better]
     return x, res
 
 

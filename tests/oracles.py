@@ -3,9 +3,10 @@ import itertools
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from btensor.core import contract_batch
-from btensor.tcp import TcpInstance, _monotone_newton, _newton_from, outcome_at
+from btensor.tcp import TcpInstance, _fb_newton, _monotone_newton, _newton_from, outcome_at
 
 
 def naive_contract(tensor, x):
@@ -34,53 +35,17 @@ def chain_contract(tensor, x):
     return out
 
 
-def serial_face_recovery(instance, x):
-    """Face recovery of one point, one contraction at a time: the reference for each row of
-    ``tcp._face_recovery``.  Returns the restart, or None."""
-    tensor, q = instance.tensor, instance.q
-    w = q + chain_contract(tensor, x)
-    for i in np.argsort(w):
-        if w[i] >= 0:
-            return None
-        lo = float(x[i])
-        hi = max(2.0 * lo, 1e-3)
-        candidate = x.copy()
-        for _ in range(60):
-            candidate[i] = hi
-            if (q + chain_contract(tensor, candidate))[i] >= 0:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            continue
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            candidate[i] = mid
-            if (q + chain_contract(tensor, candidate))[i] >= 0:
-                hi = mid
-            else:
-                lo = mid
-        candidate[i] = hi
-        return candidate
-    return None
-
-
 def serial_newton_from(instance, x0, tol):
-    """Semismooth Newton with face-recovery restarts start by start: the reference for each row
-    of ``tcp._newton_from``.  Returns one (x, residual) per start."""
+    """The monotone pass, then a Fischer-Burmeister pass where it fails, start by start: the
+    reference for each row of ``tcp._newton_from``.  Returns one (x, residual) per start."""
     results = []
-    for x, res in zip(*_monotone_newton(instance, x0, tol)):
-        res = float(res)
-        for _ in range(8):
-            if res <= tol:
-                break
-            restart = serial_face_recovery(instance, x)
-            if restart is None:
-                break
-            [x_new], [res_new] = _monotone_newton(instance, restart[None], tol)
-            if res_new >= res:
-                break
-            x, res = x_new, float(res_new)
-        results.append((x, res))
+    for start in x0:
+        [x], [res] = _monotone_newton(instance, start[None], tol)
+        if not res <= tol:
+            [x_fb], [res_fb] = _fb_newton(instance, start[None], tol)
+            if res_fb < (math.inf if math.isnan(res) else res):
+                x, res = x_fb, res_fb
+        results.append((x, float(res)))
     return results
 
 
@@ -162,12 +127,13 @@ def naive_row_sums(tensor):
     return sums
 
 
-def grid_min_residual(tensor, q, radius, points=2001, rows=125):
+def grid_min_point(tensor, q, radius, points=2001, rows=125):
     """Exhaustive complementarity-residual scan over [0, radius]^2 (order 3, dim 2 only).
 
     The slack is the explicit quadratic form
     w_i = q_i + a_i00 x0^2 + (a_i01 + a_i10) x0 x1 + a_i11 x1^2,
-    evaluated ``rows`` grid values of x0 at a time against every x1.
+    evaluated ``rows`` grid values of x0 at a time against every x1.  Returns the smallest
+    residual and the first grid point that attains it.
     """
     assert tensor.dim == 2 and tensor.order == 3
     arr = tensor.array
@@ -177,14 +143,60 @@ def grid_min_residual(tensor, q, radius, points=2001, rows=125):
 
     axis = np.linspace(0.0, radius, points)
     x1 = axis[None, :]
-    best = np.inf
+    best, point = np.inf, None
     for lo in range(0, points, rows):
         x0 = axis[lo : lo + rows, None]
         residual = np.maximum(
             np.abs(np.minimum(x0, slack(0, x0, x1))), np.abs(np.minimum(x1, slack(1, x0, x1)))
         )
-        best = min(best, float(residual.min()))
-    return best
+        i, j = np.unravel_index(np.argmin(residual), residual.shape)
+        if residual[i, j] < best:
+            best, point = float(residual[i, j]), np.array([axis[lo + i], axis[j]])
+    return best, point
+
+
+def grid_min_residual(tensor, q, radius, points=2001, rows=125):
+    """The smallest residual of the :func:`grid_min_point` scan."""
+    return grid_min_point(tensor, q, radius, points, rows)[0]
+
+
+def dim2_tcp_solutions(tensor, q):
+    """Every solution x of the dimension-2 complementarity problem, support by support.
+
+    Empty support: x = 0, a solution when q >= 0.  Support {i}: x = s e_i with
+    a_i..i s^(m-1) = -q_i, kept when the other slack is >= 0.  Support {0, 1}: x = s u with
+    u = (t, 1 - t), 0 < t < 1, and w = q + s^(m-1) c(t) = 0, where c(t) is the contraction at
+    u, a polynomial in t read off the entries; so c(t) is parallel to -q, a root of
+    -q_1 c_0(t) + q_0 c_1(t), and s^(m-1) = -q_k / c_k(t) must be positive.  At q = 0 that
+    polynomial vanishes and only the supports above are listed.
+    """
+    arr, q = np.asarray(tensor.array, dtype=float), np.asarray(q, dtype=float)
+    m = arr.ndim
+    assert arr.shape == (2,) * m and q.shape == (2,)
+    # c_i(t) = sum of a_i,idx t^(zeros in idx) (1 - t)^(ones in idx), in increasing powers of t.
+    c = [np.zeros(1), np.zeros(1)]
+    for i in range(2):
+        for idx in itertools.product(range(2), repeat=m - 1):
+            zeros = idx.count(0)
+            term = P.polymul(P.polypow([0.0, 1.0], zeros), P.polypow([1.0, -1.0], m - 1 - zeros))
+            c[i] = P.polyadd(c[i], arr[(i, *idx)] * term)
+    solutions = [np.zeros(2)] if (q >= 0).all() else []
+    for i in range(2):
+        diag, other = arr[(i,) * m], arr[(1 - i,) + (i,) * (m - 1)]
+        # Signs and roots taken apart, as -q_i / a_i..i may underflow to 0 where s does not.
+        if np.sign(-q[i]) * np.sign(diag) > 0 and q[1 - i] + other * (-q[i] / diag) >= 0:
+            x = np.zeros(2)
+            x[i] = abs(q[i]) ** (1.0 / (m - 1)) / abs(diag) ** (1.0 / (m - 1))
+            solutions.append(x)
+    cross = np.trim_zeros(P.polysub(-q[1] * c[0], -q[0] * c[1]), "b")
+    for root in np.roots(cross[::-1]) if cross.size > 1 else []:
+        t = float(root.real)
+        if abs(root.imag) <= 1e-9 and 0.0 < t < 1.0:
+            values = np.array([P.polyval(t, c[0]), P.polyval(t, c[1])])
+            k = int(np.argmax(np.abs(values)))
+            if -q[k] / values[k] > 0:
+                solutions.append((-q[k] / values[k]) ** (1.0 / (m - 1)) * np.array([t, 1.0 - t]))
+    return solutions
 
 
 def radial_grid_oracle(tensor, q, resolution=24):

@@ -4,7 +4,8 @@
 that ``find_h_eigenpairs``, ``find_z_eigenpairs``, ``tcp.solve`` and
 ``boundedness_probe`` return on the inputs built below: the general and the
 symmetric eigen path at odd and even order, a converged TCP solve, one that
-goes through a face recovery, one that cannot converge, and two probes.  A
+the Fischer-Burmeister pass solves after the monotone pass stalls, one that
+cannot converge, and two probes.  A
 refactor that keeps the arithmetic keeps every bit.  The file is the stdout
 of ``PYTHONPATH=src python tests/test_solver_golden.py``; regenerate it only
 for an intended change of solver arithmetic.
@@ -66,7 +67,7 @@ def tcp_cases() -> dict:
     """name -> (tensor, q, seed) of the TCP solves."""
     return {
         "converged": (_general(11, 3, 3), [-1.0, 0.5, -0.25], 0),
-        "face_recovery": (_general(1, 4, 3), [0.66, -0.18, 0.1], 0),
+        "fischer_burmeister": (_general(1, 4, 3), [0.66, -0.18, 0.1], 0),
         "no_solution": (Tensor.diagonal_tensor(3, 2, [-1.0, -2.0]), [-1.0, -1.0], 0),
     }
 
@@ -102,7 +103,7 @@ def test_solver_outputs_match_golden():
     assert golden["tcp/converged"]["converged"] and not golden["tcp/no_solution"]["converged"]
 
 
-@pytest.mark.parametrize("name", ["converged", "face_recovery", "no_solution"])
+@pytest.mark.parametrize("name", ["converged", "fischer_burmeister", "no_solution"])
 def test_solve_reports_the_outcome_at_its_point(name):
     tensor, q, seed = tcp_cases()[name]
     instance = TcpInstance(tensor, q)

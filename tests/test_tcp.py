@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btensor import (
     ClassificationError,
@@ -21,19 +23,18 @@ from btensor.tcp import (
     PROBE_RADII,
     TcpInstance,
     TcpOutcome,
-    _face_recovery,
     _monotone_newton,
     _newton_from,
     outcome_at,
 )
 
-import oracles
 from oracles import (
+    dim2_tcp_solutions,
+    grid_min_point,
     grid_min_residual,
     naive_contract,
     radial_grid_oracle,
     serial_boundedness_probe,
-    serial_face_recovery,
     serial_newton_from,
     serial_solve,
 )
@@ -243,12 +244,39 @@ class TestOracles:
             assert outcome.residual <= grid_min_residual(tensor, q, radius)
 
 
+class TestDim2Oracle:
+    """``solve`` against every solution of a dimension-2 problem, listed support by support."""
+
+    def test_oracle_gives_the_diagonal_closed_form(self, rng):
+        for order in (3, 4, 5):
+            diag = rng.uniform(0.5, 4.0, 2)
+            for q in ([-1.0, -2.0], [-1.0, 0.5], [0.5, -3.0], [0.5, 1.0]):
+                [x] = dim2_tcp_solutions(Tensor.diagonal_tensor(order, 2, diag), q)
+                expected = (np.maximum(-np.array(q), 0.0) / diag) ** (1.0 / (order - 1))
+                np.testing.assert_allclose(x, expected, rtol=1e-12)
+
+    # The residual tolerance is absolute: where q_i is tiny but not 0, so is the solution's x_i,
+    # and a point off by more than x_i itself can pass.  So each entry of q is 0 or of size >= 0.05.
+    @given(
+        order=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+        q=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))] * 2),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_solve_finds_one_of_the_solutions(self, order, seed, q):
+        tensor = random_b_tensor(order, 2, np.random.default_rng(seed))
+        outcome = tcp_solve(make_instance(tensor, q))
+        assert outcome.converged
+        solutions = dim2_tcp_solutions(tensor, q)
+        assert min(np.max(np.abs(outcome.x - x)) for x in solutions) <= 1e-6, (outcome.x, solutions)
+
+
 def _hexes(*arrays):
     return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
 
 
 class TestStackedSearch:
-    """Stacked face recovery and restart rounds give every start the bits it gets alone."""
+    """The stacked monotone and Fischer-Burmeister passes give every start the bits it gets alone."""
 
     @staticmethod
     def assert_newton_rows_equal_serial(instance, x0):
@@ -257,16 +285,7 @@ class TestStackedSearch:
         assert len(x) == len(res) == len(alone)
         for k, (x_alone, res_alone) in enumerate(alone):
             assert _hexes(x[k], res[k]) == _hexes(x_alone, res_alone), k
-
-    @staticmethod
-    def assert_recovery_rows_equal_serial(instance, points):
-        restarts, has_restart = _face_recovery(instance, points)
-        for k, point in enumerate(points):
-            alone = serial_face_recovery(instance, point)
-            assert has_restart[k] == (alone is not None), k
-            if alone is not None:
-                assert _hexes(restarts[k]) == _hexes(alone), k
-        return restarts, has_restart
+        return x, res
 
     @pytest.mark.parametrize("radius,starts", [(1.0, 8), (10.0, 12), (100.0, 16)])
     @pytest.mark.parametrize("member", ["ex41", (3, 3), (4, 3), (3, 5)])
@@ -276,59 +295,27 @@ class TestStackedSearch:
         instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
         self.assert_newton_rows_equal_serial(instance, rng.uniform(0.0, radius, (starts, tensor.dim)))
 
-    def test_face_recovery_rows_equal_serial(self, ex41, rng):
-        for tensor in (ex41, random_b_tensor(3, 5, rng), random_b_tensor(4, 3, rng)):
-            instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
-            x0 = rng.uniform(0.0, 10.0, (12, tensor.dim))
-            blocked, _ = _monotone_newton(instance, x0, DEFAULT_TOL)
-            _, has_restart = self.assert_recovery_rows_equal_serial(instance, np.vstack([blocked, x0]))
-            assert has_restart.any()
+    def test_stack_mixing_monotone_and_fischer_burmeister_rows(self):
+        # On this member some starts converge in the monotone pass, some keep the
+        # Fischer-Burmeister point and some keep the monotone point although it fails.
+        instance = _failing_first_member(741)
+        radii = np.array(PROBE_RADII)[:, None, None]
+        x0 = np.random.default_rng(3).uniform(0.0, radii, (3, 8, 2)).reshape(-1, 2)
+        _, monotone = _monotone_newton(instance, x0, DEFAULT_TOL)
+        _, res = self.assert_newton_rows_equal_serial(instance, x0)
+        passed, kept = monotone <= DEFAULT_TOL, res < monotone
+        assert passed.any() and (kept & (res <= DEFAULT_TOL)).any() and (~passed & ~kept).any()
 
-    def test_ladder_that_never_turns_falls_back_to_the_next_coordinate(self):
-        # Slack 0 is -1 - x0**2, so its ladder never turns; slacks 1 and 2 turn as x1, x2 grow.
-        instance = make_instance(Tensor.diagonal_tensor(3, 3, [-1.0, 2.0, 2.0]), [-1.0, -4.0, -2.0])
-        points = np.array([
-            [0.0, 0.0, 0.0],  # slack 1 is the most negative and turns
-            [3.0, 0.0, 0.0],  # slack 0 is the most negative: falls back to coordinate 1
-            [0.0, 3.0, 3.0],  # slack 0 is the only negative one: no restart
-            [1.0, 1.5, 0.5],  # falls back to coordinate 2
-            [0.0, 0.0, 1.0],  # slack 1 turns
-        ])
-        restarts, has_restart = self.assert_recovery_rows_equal_serial(instance, points)
-        assert has_restart.tolist() == [True, True, False, True, True]
-        moved = (restarts != points)[has_restart].astype(int)
-        assert moved.tolist() == [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]]
-        self.assert_recovery_rows_equal_serial(instance, points[[1, 3]])  # every first ladder fails
-        self.assert_newton_rows_equal_serial(instance, points)
-
-    def test_nan_slack_counts_as_negative_as_alone(self):
-        tensor = Tensor.from_flat(3, 2, [1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-        instance = make_instance(tensor, [-1.0, -4.0])
-        points = np.array([[np.nan, 0.0], [0.0, np.nan], [1e200, 0.0], [0.0, 0.0]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, has_restart = self.assert_recovery_rows_equal_serial(instance, points)
-        assert has_restart.tolist() == [False, False, True, True]
-
-    # Seed 2 has a start that takes three rounds; at seed 11 some starts keep their first
-    # restart and others, in the same round, do not.
-    @pytest.mark.parametrize("seed", [2, 11])
-    def test_stack_mixing_rows_of_zero_one_and_more_rounds(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        tensor = random_b_tensor(3, 5, rng)
-        instance = make_instance(tensor, rng.uniform(-2.0, 1.0, 5))
-        solution = tcp_solve(instance).x
-        x0 = np.vstack([solution, rng.uniform(0.0, 1.0, (5, 5)), rng.uniform(0.0, 10.0, (4, 5))])
-        calls = []
-        recover = oracles.serial_face_recovery
-        monkeypatch.setattr(oracles, "serial_face_recovery", lambda *a: calls.append(1) or recover(*a))
-        rounds = []
-        for start in x0:
-            calls.clear()
-            serial_newton_from(instance, start[None], DEFAULT_TOL)
-            rounds.append(len(calls))
-        assert {0, 1} <= set(rounds) and max(rounds) >= 2, rounds
-        monkeypatch.undo()
-        self.assert_newton_rows_equal_serial(instance, x0)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fischer_burmeister_jacobian_where_x_and_w_vanish(self, monkeypatch):
+        # From (0, 0) the slack is (-1 - x0**2, x1**2) = (-1, 0): x1 = w1 = 0, so hypot(x1, w1) = 0,
+        # and no slack turns w0 nonnegative, so the monotone pass fails and the second pass runs.
+        instance = make_instance(Tensor.diagonal_tensor(3, 2, [-1.0, 1.0]), [-1.0, 0.0])
+        calls, fb_newton = [], tcp._fb_newton
+        monkeypatch.setattr(tcp, "_fb_newton", lambda *a: calls.append(a[1].copy()) or fb_newton(*a))
+        x, res = _newton_from(instance, np.zeros((1, 2)), DEFAULT_TOL)
+        assert len(calls) == 1 and not calls[0].any()
+        assert res[0] == 1.0 and not x.any()
 
 
 class TestScalingAndBoundedness:
@@ -361,10 +348,32 @@ class TestScalingAndBoundedness:
 
 
 def _failing_first_member(seed):
-    # Order-3, dim-2 strict members (found by search) whose first start does not converge.
+    # Order-3, dim-2 strict members; at seeds 741, 919, 1325, 1475 and 1780 (found by search
+    # over 0-2999) the first start does not converge.
     rng = np.random.default_rng(seed)
     tensor = random_b_tensor(3, 2, rng)
     return make_instance(tensor, rng.uniform(-1.0, 1.0, 2))
+
+
+# Item 288 of the seed-61 tcp_solve benchmark pool: an order-3, dim-2 strict member, its q and
+# its start seed.
+POOL_288 = (
+    [
+        "0x1.2e0ab3a3396aep+2", "0x1.20eacbacfd680p-5", "-0x1.9a90f5780c2f4p-1", "-0x1.7f6d303f74280p-2",
+        "-0x1.7451a96fb93b4p-2", "-0x1.23f27cead8e1ap-1", "-0x1.bdedd647d0502p-1", "0x1.44dd11f9fba9cp+1",
+    ],
+    ["0x1.b4ce79d25f080p-6", "-0x1.20f8a19a18fe9p-1"],
+    1249550639,
+)
+
+
+def _monotone_stall(case):
+    """(instance, start seed) of a member on which the monotone pass stalls from the first start."""
+    if case == "pool288":
+        entries, q, seed = POOL_288
+        tensor = Tensor.from_flat(3, 2, [float.fromhex(v) for v in entries])
+        return make_instance(tensor, [float.fromhex(v) for v in q]), seed
+    return _failing_first_member(int(case)), int(case)
 
 
 class TestStackedMultistart:
@@ -403,18 +412,22 @@ class TestStackedMultistart:
                 self.assert_solve_equals_serial(make_instance(tensor, q), starts, int(rng.integers(1000)))
 
     @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
-    @pytest.mark.parametrize("seed", [343, 376, 808])
+    @pytest.mark.parametrize("seed", [741, 919, 1325])
     def test_solve_whose_first_start_fails(self, starts, seed):
         outcome = self.assert_solve_equals_serial(_failing_first_member(seed), starts, seed)
         assert (outcome.starts_used > 1) == (starts > 1)
         if starts == 16:
             assert outcome.converged
 
-    @pytest.mark.parametrize("starts", [2, 3, 4, 16])
-    @pytest.mark.parametrize("seed", [946, 1581])
-    def test_solve_where_no_start_converges_keeps_the_best(self, starts, seed):
-        outcome = self.assert_solve_equals_serial(_failing_first_member(seed), starts, seed)
-        assert not outcome.converged and outcome.starts_used == starts
+    @pytest.mark.parametrize("starts", [1, 16])
+    @pytest.mark.parametrize("case", ["946", "1581", "pool288"])
+    def test_solve_converges_where_the_monotone_pass_stalls(self, case, starts):
+        instance, seed = _monotone_stall(case)
+        outcome = self.assert_solve_equals_serial(instance, starts, seed)
+        assert outcome.converged and outcome.starts_used == 1
+        # A grid point of the scan over [0, 1]^2 (spacing 1/2000) is a near solution.
+        _, point = grid_min_point(instance.tensor, instance.q, 1.0)
+        assert np.max(np.abs(outcome.x - point)) <= 1.0 / 2000
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_residual_tie_goes_to_the_lexicographically_smallest_point(self, seed):
@@ -442,13 +455,14 @@ class TestStackedMultistart:
 
         monkeypatch.setattr(np.linalg, "solve", logging_solve)
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
-        outcome = tcp_solve(instance, starts=4, seed=0)
+        outcome = tcp_solve(instance, starts=16, seed=0)
         monkeypatch.undo()
-        assert outcome.converged and outcome.starts_used == 3
-        # The first start fails alone; then the stack of the other three falls back to row by
-        # row once, and only one row needs lstsq.
-        assert calls == ["singular stack of 1", "singular row", "lstsq", "singular stack of 3", "singular row", "lstsq"]
-        self.assert_solve_equals_serial(instance, 4, 0)
+        assert outcome.converged and outcome.starts_used == 6
+        # The first start fails alone; then the monotone pass of the other fifteen falls back to
+        # row by row twice, at 15 rows and at 13, and each time only one row needs lstsq.
+        once = ["singular row", "lstsq"]
+        assert calls == ["singular stack of 1", *once, "singular stack of 15", *once, "singular stack of 13", *once]
+        self.assert_solve_equals_serial(instance, 16, 0)
 
     @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
     def test_probe_on_the_examples_and_the_six_shapes(self, monkeypatch, ex41, ex42, starts):
@@ -459,7 +473,8 @@ class TestStackedMultistart:
             self.assert_probe_equals_serial(monkeypatch, tensor, q, starts, int(rng.integers(1000)))
 
     def test_probe_on_a_member_whose_solve_fails(self, monkeypatch):
-        instance = _failing_first_member(946)
+        # Its solve fails from the first start; most probe starts need the second pass.
+        instance = _failing_first_member(1780)
         self.assert_probe_equals_serial(monkeypatch, instance.tensor, instance.q, 8, 3)
 
 
@@ -490,7 +505,7 @@ class TestMultistartWork:
         assert tcp_solve(make_instance(ex41, -np.ones(3)), starts=starts).starts_used == 1
         assert calls == {"newton": 1, "rng": 0}
 
-    @pytest.mark.parametrize("seed", [343, 946])
+    @pytest.mark.parametrize("seed", [741, 1780])
     def test_solve_whose_first_start_fails_calls_newton_twice(self, monkeypatch, seed):
         instance = _failing_first_member(seed)
         calls = self.count(monkeypatch)
