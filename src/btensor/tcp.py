@@ -1,21 +1,22 @@
 """Tensor complementarity: find x >= 0 with w = q + contract(A, x) >= 0 and x.w = 0.
 
-The solver runs :func:`core.damped_newton` on a stack of starts twice: on the natural residual
-``min(x, w)`` (semismooth, with projection onto the nonnegative orthant), then, for the starts
-that pass leaves unsolved, on the Fischer-Burmeister residual ``x + w - hypot(x, w)`` from the
-same starts.  ``solve`` runs its first start alone and, only if that fails, all its other starts
-as one stack, keeping the first in start order that converges; the boundedness probe runs the
-starts of every radius as one stack.  For strict-class tensors the solution set is nonempty and
-bounded, and every nonzero solution obeys closed-form lower bounds driven by the positive part of
-``-q`` and the diagonal entries; this module computes those certificates and verifies them
-against solver output.
+The solver runs :func:`core.damped_newton` on a stack of starts in two passes, on the natural
+residual ``min(x, w)`` (semismooth, projected onto x >= 0) and on the Fischer-Burmeister residual
+``x + w - hypot(x, w)``; the second runs from the same starts on those the first leaves unsolved.
+``solve`` runs the natural residual first, its first start alone and, only if that fails, its other
+starts as one stack, keeping the first in start order that converges.  The boundedness probe runs
+the starts of every radius as one stack, Fischer-Burmeister first, as the min-map pass takes far
+starts to x = 0, where the contraction Jacobian vanishes.  For strict-class tensors the solution
+set is nonempty and bounded, and every nonzero solution obeys closed-form lower bounds driven by
+the positive part of ``-q`` and the diagonal entries; this module computes those certificates and
+verifies them against solver output.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,16 +52,22 @@ NEAR_TIE_SLACK = 1e-12
 PROBE_RADII = (1.0, 10.0, 100.0)
 
 
+def _checked_q(q, dim: int) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (dim,):
+        raise ValueError(f"q must have length {dim}, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"q must be finite, got {q.tolist()}")
+    return q
+
+
 @dataclass(frozen=True)
 class TcpInstance:
     tensor: Tensor
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (self.tensor.dim,):
-            raise ValueError(f"q must have length {self.tensor.dim}, got shape {q.shape}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _checked_q(self.q, self.tensor.dim))
 
 
 @dataclass(frozen=True)
@@ -135,20 +142,21 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     return x, np.abs(np.minimum(x, q + contract_batch(tensor, x))).max(axis=1)
 
 
-def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float):
+def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float, passes: tuple[Callable, Callable]):
     """Newton from a (k, n) stack of starts; returns the (k, n) points and (k,) residuals.
 
-    One monotone pass on the natural residual; the starts it leaves above ``tol`` then make one
-    Fischer-Burmeister pass from where they began, whose point a start keeps only where its
-    natural residual is strictly lower.
+    ``passes`` is the pair of passes in order, each ``_monotone_newton`` or ``_fb_newton``.  The
+    starts the first leaves above ``tol`` make the second from where they began, whose point a
+    start keeps only where its natural residual is strictly lower.
     """
-    x, res = _monotone_newton(instance, x0, tol)
+    first, second = passes
+    x, res = first(instance, x0, tol)
     rows = np.flatnonzero(~(res <= tol))
     if rows.size:
-        x_fb, res_fb = _fb_newton(instance, x0[rows], tol)
-        better = res_fb < np.nan_to_num(res[rows], nan=np.inf)
+        x_second, res_second = second(instance, x0[rows], tol)
+        better = res_second < np.nan_to_num(res[rows], nan=np.inf)
         rows = rows[better]
-        x[rows], res[rows] = x_fb[better], res_fb[better]
+        x[rows], res[rows] = x_second[better], res_second[better]
     return x, res
 
 
@@ -172,13 +180,14 @@ def solve(
         raise ValueError(f"starts must be >= 1, got {starts}")
     tensor, q = instance.tensor, instance.q
     base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
-    [best], [best_res] = _newton_from(instance, 0.5 * base[None], tol)
+    passes = (_monotone_newton, _fb_newton)
+    [best], [best_res] = _newton_from(instance, 0.5 * base[None], tol, passes)
     if best_res <= tol or starts == 1:
         return outcome_at(instance, best, tol, 1)
     scale = 1.0 + float(base.max(initial=0.0))
     draws = np.random.default_rng(seed).uniform(0.0, scale, size=(max(starts - 3, 0), tensor.dim))
     x0 = np.vstack([base, 2.0 * base, draws])[: starts - 1]
-    for used, (x, res) in enumerate(zip(*_newton_from(instance, x0, tol)), start=2):
+    for used, (x, res) in enumerate(zip(*_newton_from(instance, x0, tol, passes)), start=2):
         if res <= tol:
             return outcome_at(instance, x, tol, used)
         if res < best_res or (res == best_res and tuple(x) < tuple(best)):
@@ -208,9 +217,7 @@ def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
     with numpy's overflow warnings silenced, as the error says it (else the bound would read 0 or inf).
     """
     require_membership(tensor, "B")
-    q = np.asarray(q, dtype=float)
-    if q.shape != (tensor.dim,):
-        raise ValueError(f"q must have length {tensor.dim}, got shape {q.shape}")
+    q = _checked_q(q, tensor.dim)
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     neg = np.maximum(-q, 0.0)
@@ -267,9 +274,9 @@ def verify_solution_bounds(tensor: Tensor, q, outcome: TcpOutcome) -> SolutionBo
 def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool:
     """Falsification probe of solution-set boundedness.
 
-    Solves from ``starts`` random starts scaled to each radius of
-    ``PROBE_RADII`` (1, 10 and 100), drawn radius by radius and run as one
-    stack, and reports True when every solution within ``DEFAULT_TOL`` stays
+    Solves from ``starts`` random starts scaled to each radius of ``PROBE_RADII``
+    (1, 10 and 100), drawn radius by radius and run as one stack, Fischer-Burmeister
+    pass first, and reports True when every solution within ``DEFAULT_TOL`` stays
     within 10x the smallest radius at which the solution set stops changing.
     """
     if starts < 1:
@@ -279,7 +286,7 @@ def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool
     rng = np.random.default_rng(seed)
     shape = (len(PROBE_RADII), starts, tensor.dim)
     x0 = rng.uniform(0.0, np.array(PROBE_RADII)[:, None, None], size=shape)
-    x, res = _newton_from(instance, x0.reshape(-1, tensor.dim), DEFAULT_TOL)
+    x, res = _newton_from(instance, x0.reshape(-1, tensor.dim), DEFAULT_TOL, (_fb_newton, _monotone_newton))
     per_radius: list[list[np.ndarray]] = []
     for points, residuals in zip(x.reshape(shape), res.reshape(shape[:2])):
         found: list[np.ndarray] = []

@@ -35,16 +35,22 @@ def chain_contract(tensor, x):
     return out
 
 
-def serial_newton_from(instance, x0, tol):
-    """The monotone pass, then a Fischer-Burmeister pass where it fails, start by start: the
-    reference for each row of ``tcp._newton_from``.  Returns one (x, residual) per start."""
+# The pass orders of ``tcp.solve`` (min-map first) and of ``tcp.boundedness_probe``.
+SOLVE_PASSES = (_monotone_newton, _fb_newton)
+PROBE_PASSES = (_fb_newton, _monotone_newton)
+
+
+def serial_newton_from(instance, x0, tol, passes):
+    """The first of ``passes``, then the second where it fails, start by start: the reference
+    for each row of ``tcp._newton_from``.  Returns one (x, residual) per start."""
+    first, second = passes
     results = []
     for start in x0:
-        [x], [res] = _monotone_newton(instance, start[None], tol)
+        [x], [res] = first(instance, start[None], tol)
         if not res <= tol:
-            [x_fb], [res_fb] = _fb_newton(instance, start[None], tol)
-            if res_fb < (math.inf if math.isnan(res) else res):
-                x, res = x_fb, res_fb
+            [x_second], [res_second] = second(instance, start[None], tol)
+            if res_second < (math.inf if math.isnan(res) else res):
+                x, res = x_second, res_second
         results.append((x, float(res)))
     return results
 
@@ -64,7 +70,7 @@ def serial_solve(instance, starts, tol, seed):
 
     best = None
     for used, x0 in enumerate(start_points(), start=1):
-        [x], [res] = _newton_from(instance, x0[None], tol)
+        [x], [res] = _newton_from(instance, x0[None], tol, SOLVE_PASSES)
         if res <= tol or best is None or res < best[1] or (res == best[1] and tuple(x) < tuple(best[0])):
             best = (x, res)
         if res <= tol:
@@ -72,16 +78,17 @@ def serial_solve(instance, starts, tol, seed):
     return outcome_at(instance, best[0], tol, used)
 
 
-def serial_boundedness_probe(tensor, q, starts, seed, radii, tol):
-    """``tcp.boundedness_probe`` radius at a time, one ``_newton_from`` stack per radius.
-    Returns the (x, residual) of every start, radius by radius, and the verdict."""
+def serial_boundedness_probe(tensor, q, starts, seed, radii, tol, passes):
+    """``tcp.boundedness_probe`` radius at a time, one ``_newton_from`` stack per radius with the
+    passes in the order given.  Returns the (x, residual) of every start, radius by radius, and
+    the verdict."""
     instance = TcpInstance(tensor, q)
     rng = np.random.default_rng(seed)
     rows, per_radius = [], []
     for radius in radii:
         found = []
         x0 = np.array([rng.uniform(0.0, radius, size=tensor.dim) for _ in range(starts)])
-        for x, res in zip(*_newton_from(instance, x0, tol)):
+        for x, res in zip(*_newton_from(instance, x0, tol, passes)):
             rows.append((x, res))
             if res <= tol and not any(np.max(np.abs(x - y)) <= 1e-6 for y in found):
                 found.append(x)

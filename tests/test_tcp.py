@@ -29,6 +29,8 @@ from btensor.tcp import (
 )
 
 from oracles import (
+    PROBE_PASSES,
+    SOLVE_PASSES,
     dim2_tcp_solutions,
     grid_min_point,
     grid_min_residual,
@@ -68,6 +70,18 @@ class TestResidual:
     def test_dimension_mismatch(self, ex41):
         with pytest.raises(ValueError):
             make_instance(ex41, [1.0, 2.0])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected_by_every_entry_point(self, ex41, entry):
+        q = [entry, -1.0, -1.0]
+        calls = [
+            lambda: tcp_solve(TcpInstance(ex41, q)),
+            lambda: boundedness_probe(ex41, q),
+            lambda: solution_lower_bounds(ex41, q),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^q must be finite, got \[(nan|inf|-inf), -1\.0, -1\.0\]$"):
+                call()
 
 
 class TestSolve:
@@ -276,12 +290,13 @@ def _hexes(*arrays):
 
 
 class TestStackedSearch:
-    """The stacked monotone and Fischer-Burmeister passes give every start the bits it gets alone."""
+    """The stacked monotone and Fischer-Burmeister passes, in either order, give every start the
+    bits it gets alone."""
 
     @staticmethod
-    def assert_newton_rows_equal_serial(instance, x0):
-        x, res = _newton_from(instance, x0, DEFAULT_TOL)
-        alone = serial_newton_from(instance, x0, DEFAULT_TOL)
+    def assert_newton_rows_equal_serial(instance, x0, passes):
+        x, res = _newton_from(instance, x0, DEFAULT_TOL, passes)
+        alone = serial_newton_from(instance, x0, DEFAULT_TOL, passes)
         assert len(x) == len(res) == len(alone)
         for k, (x_alone, res_alone) in enumerate(alone):
             assert _hexes(x[k], res[k]) == _hexes(x_alone, res_alone), k
@@ -293,7 +308,9 @@ class TestStackedSearch:
         rng = np.random.default_rng(starts)
         tensor = ex41 if member == "ex41" else random_b_tensor(*member, rng)
         instance = make_instance(tensor, rng.uniform(-2.0, 1.0, tensor.dim))
-        self.assert_newton_rows_equal_serial(instance, rng.uniform(0.0, radius, (starts, tensor.dim)))
+        x0 = rng.uniform(0.0, radius, (starts, tensor.dim))
+        for passes in (SOLVE_PASSES, PROBE_PASSES):
+            self.assert_newton_rows_equal_serial(instance, x0, passes)
 
     def test_stack_mixing_monotone_and_fischer_burmeister_rows(self):
         # On this member some starts converge in the monotone pass, some keep the
@@ -302,18 +319,22 @@ class TestStackedSearch:
         radii = np.array(PROBE_RADII)[:, None, None]
         x0 = np.random.default_rng(3).uniform(0.0, radii, (3, 8, 2)).reshape(-1, 2)
         _, monotone = _monotone_newton(instance, x0, DEFAULT_TOL)
-        _, res = self.assert_newton_rows_equal_serial(instance, x0)
+        _, res = self.assert_newton_rows_equal_serial(instance, x0, SOLVE_PASSES)
         passed, kept = monotone <= DEFAULT_TOL, res < monotone
         assert passed.any() and (kept & (res <= DEFAULT_TOL)).any() and (~passed & ~kept).any()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_fischer_burmeister_jacobian_where_x_and_w_vanish(self, monkeypatch):
+    def test_fischer_burmeister_jacobian_where_x_and_w_vanish(self):
         # From (0, 0) the slack is (-1 - x0**2, x1**2) = (-1, 0): x1 = w1 = 0, so hypot(x1, w1) = 0,
         # and no slack turns w0 nonnegative, so the monotone pass fails and the second pass runs.
         instance = make_instance(Tensor.diagonal_tensor(3, 2, [-1.0, 1.0]), [-1.0, 0.0])
-        calls, fb_newton = [], tcp._fb_newton
-        monkeypatch.setattr(tcp, "_fb_newton", lambda *a: calls.append(a[1].copy()) or fb_newton(*a))
-        x, res = _newton_from(instance, np.zeros((1, 2)), DEFAULT_TOL)
+        calls = []
+
+        def fb_newton(*args):
+            calls.append(args[1].copy())
+            return tcp._fb_newton(*args)
+
+        x, res = _newton_from(instance, np.zeros((1, 2)), DEFAULT_TOL, (_monotone_newton, fb_newton))
         assert len(calls) == 1 and not calls[0].any()
         assert res[0] == 1.0 and not x.any()
 
@@ -389,18 +410,24 @@ class TestStackedMultistart:
         return outcome
 
     @staticmethod
-    def assert_probe_equals_serial(monkeypatch, tensor, q, starts, seed):
+    def probe_stack(monkeypatch, tensor, q, starts, seed):
+        """The verdict of ``boundedness_probe`` and the (x, residual) of its one Newton stack."""
         calls, newton_from = [], tcp._newton_from
         monkeypatch.setattr(tcp, "_newton_from", lambda *a: calls.append(newton_from(*a)) or calls[-1])
         bounded = boundedness_probe(tensor, q, starts=starts, seed=seed)
         monkeypatch.undo()
         assert len(calls) == 1
-        rows, serial_bounded = serial_boundedness_probe(tensor, q, starts, seed, PROBE_RADII, DEFAULT_TOL)
-        (x, res), = calls
+        return bounded, *calls[0]
+
+    def assert_probe_equals_serial(self, monkeypatch, tensor, q, starts, seed):
+        bounded, x, res = self.probe_stack(monkeypatch, tensor, q, starts, seed)
+        rows, serial_bounded = serial_boundedness_probe(
+            tensor, q, starts, seed, PROBE_RADII, DEFAULT_TOL, PROBE_PASSES
+        )
         assert len(x) == len(rows) == len(PROBE_RADII) * starts
         assert _hexes(x, res) == _hexes([r[0] for r in rows], [r[1] for r in rows])
         assert bounded == serial_bounded
-        return bounded
+        return bounded, res
 
     @pytest.mark.parametrize("starts", [1, 2, 3, 4, 16])
     def test_solve_on_the_examples_and_the_six_shapes(self, ex41, ex42, starts):
@@ -473,9 +500,35 @@ class TestStackedMultistart:
             self.assert_probe_equals_serial(monkeypatch, tensor, q, starts, int(rng.integers(1000)))
 
     def test_probe_on_a_member_whose_solve_fails(self, monkeypatch):
-        # Its solve fails from the first start; most probe starts need the second pass.
+        # Its solve fails from the first start; 20 of the 24 probe starts fail the min-map pass,
+        # and 1 fails the Fischer-Burmeister pass that the probe runs first.
         instance = _failing_first_member(1780)
         self.assert_probe_equals_serial(monkeypatch, instance.tensor, instance.q, 8, 3)
+
+    def test_probe_start_that_only_the_min_map_pass_solves(self, monkeypatch, ex41):
+        # The probe runs the Fischer-Burmeister pass first.  From the first start of this probe
+        # (radius 1) that pass stalls, and the min-map pass that follows converges.
+        q = np.random.default_rng(182).uniform(-2.0, 1.0, 3)
+        start = np.random.default_rng(602).uniform(0.0, PROBE_RADII[0], (1, 3))
+        [fb_res] = tcp._fb_newton(make_instance(ex41, q), start, DEFAULT_TOL)[1]
+        assert fb_res > DEFAULT_TOL
+        bounded, res = self.assert_probe_equals_serial(monkeypatch, ex41, q, 8, 602)
+        assert res[0] <= DEFAULT_TOL and bounded
+
+    def test_probe_sweep_keeps_the_min_map_first_verdicts(self, monkeypatch, ex41, ex42):
+        # 96 probes over the six shapes and both examples: the verdict is that of the serial
+        # reference with the min-map pass first, and no fewer starts converge.
+        for seed in range(96):
+            rng = np.random.default_rng(seed)
+            kind = seed % 8
+            tensor = (ex41, ex42)[kind - 6] if kind >= 6 else random_b_tensor(*TCP_SHAPES[kind], rng)
+            q, probe_seed = rng.uniform(-2.0, 1.0, tensor.dim), int(rng.integers(1000))
+            bounded, _, res = self.probe_stack(monkeypatch, tensor, q, 8, probe_seed)
+            rows, min_map_first = serial_boundedness_probe(
+                tensor, q, 8, probe_seed, PROBE_RADII, DEFAULT_TOL, SOLVE_PASSES
+            )
+            assert bounded == min_map_first, seed
+            assert np.sum(res <= DEFAULT_TOL) >= sum(r <= DEFAULT_TOL for _, r in rows), seed
 
 
 class TestMultistartWork:
