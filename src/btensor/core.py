@@ -8,7 +8,12 @@ last index first with a ``(k, n)`` batch as a leading axis (any order), does
 every contraction; :func:`contract` is its one-row case.  On it rest the two
 degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
 (:func:`root_map`); they and :func:`contraction_jacobian` each take one
-vector or a batch.  :func:`damped_newton` is the one Newton driver: it
+vector or a batch.  The Jacobian makes each of its products one matmul per
+batch row, where numpy's broadcast would make one BLAS call per (n, n) block.
+Each entry still meets the same operations in the same order, so the bits hold
+wherever a BLAS row does not depend on the rows sharing its call; a GEMM over
+the batch would move them and is not used (see :func:`contraction_jacobian`).
+:func:`damped_newton` is the one Newton driver: it
 advances a stack of starts together, and the H- and Z-eigenpair searches and
 the complementarity solver supply only a batched residual and its Jacobian.
 :class:`Report` is the base of every result dataclass and gives them their
@@ -199,21 +204,56 @@ def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
     """Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
 
-    Uses the exact multilinear rule: one term per contracted index slot, so
-    no symmetry of the entries is assumed.  A batch row is bit for bit the
-    single-vector result.
+    Uses the exact multilinear rule: one term per held index slot s = 1 .. m-1,
+    the entries contracted with x at every other index but the first, last index
+    first, and the terms added to zero in slot order.  No symmetry of the entries
+    is assumed, and a batch row is bit for bit the single-vector result.
+
+    Grouping: each product is one matmul per batch row over every row it makes,
+    not one BLAS call per (n, n) block as numpy's broadcast would make.  Slots
+    1 .. m-2 all begin at index m-1, so they share the products down to index
+    s+1; each then contracts s-1 .. 1 from a copy of that partial result with
+    index s moved ahead.  The last slot begins at index m-2 with m-1 held: at
+    m >= 4 through a strided view that numpy cannot hand to BLAS, whose own loop
+    is a running sum from 0.0 in index order, as each block's was; at m = 3 its
+    blocks are column-major and go to BLAS's axpy kernel, whose rows depend on
+    the rows around them, so they stay one call each.
+
+    Bits: rounding depends only on each entry's operations and their order
+    (Higham 2002, section 3.1), and these are the block-by-block ones wherever a
+    BLAS gemv row does not depend on how many rows share the call: with numpy's
+    bundled OpenBLAS 0.3.31, at dims up to 8 and at multiples of 4.  Two other
+    groupings move bits and are not used: a GEMM over the batch, and the points
+    as the matrix of the call.
     """
     pts = _as_rows(tensor, x)
     m, n, k = tensor.order, tensor.dim, len(pts)
-    # Each row as an (n, 1) column, behind as many unit axes as the partial contraction has index axes.
-    cols = [pts.reshape((k,) + (1,) * ones + (n, 1)) for ones in range(m - 2, 0, -1)]
+    cols = pts[:, :, None]
+
+    def chain(part, axes: int, times: int):
+        # `times` products with each row, last index first, of a stack with `axes` index axes.
+        for left in range(axes - 1, axes - 1 - times, -1):
+            part = (part.reshape(-1, n**left, n) @ cols)[:, :, 0]
+        return part
+
+    terms = [None] * m
+    if m == 2:
+        terms[1] = tensor.array
+    elif m == 3:
+        terms[2] = (tensor.array.transpose(0, 2, 1) @ pts[:, None, :, None])[..., 0]
+    else:
+        # Index m-1 ahead of 0 .. m-3 (merged, one stride) and m-2 as the columns.
+        view = tensor.array.transpose(m - 1, *range(m - 2), m - 2).reshape(n, -1, n)
+        terms[m - 1] = chain(view @ cols[:, None], m - 1, m - 3).reshape(k, n, n).swapaxes(1, 2)
+    shared = tensor.array.reshape(1, -1)
+    for slot in range(m - 2, 0, -1):
+        # shared holds indices 0 .. slot; the held term orders them (0, slot, 1, .., slot-1).
+        shared = chain(shared, slot + 2, 1)
+        held = shared.reshape(k, n, n ** (slot - 1), n).swapaxes(2, 3)
+        terms[slot] = chain(held, slot + 1, slot - 1).reshape(k, n, n)
     jac = np.zeros((k, n, n))
-    for slot in range(1, m):
-        # np.moveaxis(tensor.array, slot, 1), with a leading batch axis.
-        part = tensor.array.transpose([0, slot, *range(1, slot), *range(slot + 1, m)])[None]
-        for col in cols:
-            part = (part @ col)[..., 0]
-        jac += part
+    for term in terms[1:]:
+        jac += term
     return jac.reshape(np.shape(x) + (n,))
 
 

@@ -116,18 +116,24 @@ def eigenvalue_bounds(tensor: Tensor, variant: str = "B", report=None) -> EigenB
     return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B" and n > 1)
 
 
-def _dedup_and_sort(pairs: list[EigenPair]) -> list[EigenPair]:
-    kept: list[EigenPair] = []
-    for pair in sorted(pairs, key=lambda p: (p.value, tuple(p.vector))):
-        # A duplicate has a close value and a vector close to the kept one or to its negative.
-        if not any(
-            abs(pair.value - other.value) <= VALUE_DEDUP_TOL
-            and min(np.max(np.abs(pair.vector - other.vector)), np.max(np.abs(pair.vector + other.vector)))
-            <= VECTOR_DEDUP_TOL
-            for other in kept
-        ):
-            kept.append(pair)
-    return kept
+def _dedup_and_sort(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rows of the pairs kept, in (value, vector) order: a pair is a duplicate of a kept pair
+    earlier in that order whose value is within ``VALUE_DEDUP_TOL`` and whose vector, or its
+    negative, is within ``VECTOR_DEDUP_TOL`` in max-norm.
+
+    Each kept pair rules out its duplicates among all pairs in one comparison; the next pair
+    left is then the next kept, as no earlier kept pair is close to it.
+    """
+    order = np.lexsort((*vectors.T[::-1], values))
+    values, vectors = values[order], vectors[order]
+    left = np.ones(len(order), dtype=bool)
+    kept = []
+    while left.any():
+        row = int(left.argmax())
+        kept.append(row)
+        gap = np.minimum(np.abs(vectors - vectors[row]).max(axis=1), np.abs(vectors + vectors[row]).max(axis=1))
+        left &= ~((np.abs(values - values[row]) <= VALUE_DEDUP_TOL) & (gap <= VECTOR_DEDUP_TOL))
+    return order[kept]
 
 
 def _accepted_pairs(kind: str, tensor: Tensor, z: np.ndarray, defect) -> list[EigenPair]:
@@ -135,12 +141,13 @@ def _accepted_pairs(kind: str, tensor: Tensor, z: np.ndarray, defect) -> list[Ei
     their ``defect``, is within ``ACCEPT_RESIDUAL``, deduplicated and sorted."""
     n = tensor.dim
     d = defect(tensor, z[:, :n], z[:, n])
-    residuals = np.sqrt(_row_dot(d, d)).tolist()
-    return _dedup_and_sort([
-        EigenPair(kind=kind, value=value, vector=row[:n], residual=residual)
-        for row, value, residual in zip(z, z[:, n].tolist(), residuals)
-        if residual <= ACCEPT_RESIDUAL
-    ])
+    residuals = np.sqrt(_row_dot(d, d))
+    accepted = residuals <= ACCEPT_RESIDUAL
+    z, residuals = z[accepted], residuals[accepted]
+    return [
+        EigenPair(kind=kind, value=float(z[row, n]), vector=z[row, :n], residual=float(residuals[row]))
+        for row in _dedup_and_sort(z[:, n], z[:, :n]).tolist()
+    ]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

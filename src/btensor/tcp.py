@@ -50,6 +50,7 @@ DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-8
 NEAR_TIE_SLACK = 1e-12
 PROBE_RADII = (1.0, 10.0, 100.0)
+SAME_SOLUTION = 1e-6  # max-norm distance within which the probe counts two solutions as one
 
 
 def _checked_q(q, dim: int) -> np.ndarray:
@@ -287,23 +288,30 @@ def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool
     shape = (len(PROBE_RADII), starts, tensor.dim)
     x0 = rng.uniform(0.0, np.array(PROBE_RADII)[:, None, None], size=shape)
     x, res = _newton_from(instance, x0.reshape(-1, tensor.dim), DEFAULT_TOL, (_fb_newton, _monotone_newton))
-    per_radius: list[list[np.ndarray]] = []
-    for points, residuals in zip(x.reshape(shape), res.reshape(shape[:2])):
-        found: list[np.ndarray] = []
-        for point, r in zip(points, residuals):
-            if r <= DEFAULT_TOL and not any(np.max(np.abs(point - y)) <= 1e-6 for y in found):
-                found.append(point)
-        per_radius.append(found)
+    solved = res.reshape(shape[:2]) <= DEFAULT_TOL
+    per_radius = [_distinct(points[rows]) for points, rows in zip(x.reshape(shape), solved)]
 
-    def same(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
-        return len(a) == len(b) and all(
-            any(np.max(np.abs(x - y)) <= 1e-6 for y in b) for x in a
-        )
+    def same(a: np.ndarray, b: np.ndarray) -> bool:
+        return len(a) == len(b) and all((np.abs(b - point).max(axis=1) <= SAME_SOLUTION).any() for point in a)
 
     stable_radius = PROBE_RADII[-1]
     for k in range(1, len(per_radius)):
         if same(per_radius[k - 1], per_radius[k]):
             stable_radius = PROBE_RADII[k - 1]
             break
-    all_solutions = [x for found in per_radius for x in found]
-    return all(float(np.max(np.abs(x))) < 10.0 * stable_radius for x in all_solutions)
+    return bool((np.abs(np.concatenate(per_radius)).max(axis=1) < 10.0 * stable_radius).all())
+
+
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """The (k, n) points in order, less each within ``SAME_SOLUTION`` in max-norm of an earlier one kept.
+
+    Each kept point rules out its duplicates among all the points in one comparison; the next
+    point left is then the next kept, as no earlier kept point is close to it.
+    """
+    left = np.ones(len(points), dtype=bool)
+    kept = []
+    while left.any():
+        row = int(left.argmax())
+        kept.append(row)
+        left &= ~(np.abs(points - points[row]).max(axis=1) <= SAME_SOLUTION)
+    return points[kept]

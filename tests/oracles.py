@@ -5,7 +5,8 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from btensor.core import contract_batch
+from btensor.core import _as_rows, contract_batch
+from btensor.spectral import VALUE_DEDUP_TOL, VECTOR_DEDUP_TOL
 from btensor.tcp import TcpInstance, _fb_newton, _monotone_newton, _newton_from, outcome_at
 
 
@@ -33,6 +34,43 @@ def chain_contract(tensor, x):
     for _ in range(tensor.order - 1):
         out = out.reshape(-1, tensor.dim) @ v
     return out
+
+
+def broadcast_jacobian(tensor, x) -> np.ndarray:
+    """Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
+
+    Uses the exact multilinear rule: one term per contracted index slot, so
+    no symmetry of the entries is assumed.  A batch row is bit for bit the
+    single-vector result.
+    """
+    pts = _as_rows(tensor, x)
+    m, n, k = tensor.order, tensor.dim, len(pts)
+    # Each row as an (n, 1) column, behind as many unit axes as the partial contraction has index axes.
+    cols = [pts.reshape((k,) + (1,) * ones + (n, 1)) for ones in range(m - 2, 0, -1)]
+    jac = np.zeros((k, n, n))
+    for slot in range(1, m):
+        # np.moveaxis(tensor.array, slot, 1), with a leading batch axis.
+        part = tensor.array.transpose([0, slot, *range(1, slot), *range(slot + 1, m)])[None]
+        for col in cols:
+            part = (part @ col)[..., 0]
+        jac += part
+    return jac.reshape(np.shape(x) + (n,))
+
+
+def serial_dedup_and_sort(pairs):
+    """Keep-first deduplication of eigenpairs in (value, vector) order, one kept pair at a time:
+    the reference for ``spectral._dedup_and_sort``."""
+    kept = []
+    for pair in sorted(pairs, key=lambda p: (p.value, tuple(p.vector))):
+        # A duplicate has a close value and a vector close to the kept one or to its negative.
+        if not any(
+            abs(pair.value - other.value) <= VALUE_DEDUP_TOL
+            and min(np.max(np.abs(pair.vector - other.vector)), np.max(np.abs(pair.vector + other.vector)))
+            <= VECTOR_DEDUP_TOL
+            for other in kept
+        ):
+            kept.append(pair)
+    return kept
 
 
 # The pass orders of ``tcp.solve`` (min-map first) and of ``tcp.boundedness_probe``.

@@ -27,7 +27,7 @@ from btensor import core
 from btensor.core import _BATCH_FLOATS, Report, damped_newton
 from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
-from oracles import chain_contract, naive_contract, naive_is_symmetric
+from oracles import broadcast_jacobian, chain_contract, naive_contract, naive_is_symmetric
 from test_solver_golden import _general, _symmetric
 
 
@@ -220,6 +220,47 @@ class TestContract:
                     single = contraction_jacobian(tensor, point)
                     assert single.shape == (dim, dim)
                     assert np.array_equal(row, single), (order, dim)
+
+    @staticmethod
+    def _signed_entries(rng, shape):
+        """Normal draws at magnitudes 1e-5 .. 1e5, with a share of zeros and of -0.0."""
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        values[rng.random(shape) < 0.1] = -0.0
+        return values
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_jacobian_bits_match_block_by_block(self, order, rng):
+        # The merged products keep every bit of one (n, n) block per call, at every batch size,
+        # on single vectors and on non-contiguous column slices of a wider stack.
+        for dim in range(1, 9):
+            tensor = Tensor(self._signed_entries(rng, (dim,) * order))
+            for batch in (0, 1, 2, 7, 33, 130):
+                if batch * dim ** (order - 1) > 1 << 22:
+                    continue
+                wide = self._signed_entries(rng, (batch, dim + 3))
+                points = wide[:, 1 : dim + 1]
+                self._assert_same_bits(contraction_jacobian(tensor, points), broadcast_jacobian(tensor, points))
+                for point in points[:2]:
+                    self._assert_same_bits(contraction_jacobian(tensor, point), broadcast_jacobian(tensor, point))
+
+    @given(
+        order=st.integers(2, 6),
+        dim=st.integers(1, 8),
+        batch=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_jacobian_bits_match_block_by_block_sampled(self, order, dim, batch, seed):
+        rng = np.random.default_rng(seed)
+        tensor = Tensor(self._signed_entries(rng, (dim,) * order))
+        points = self._signed_entries(rng, (dim + 1, batch)).T[:, :dim]
+        self._assert_same_bits(contraction_jacobian(tensor, points), broadcast_jacobian(tensor, points))
 
     def test_jacobian_empty_batch(self, ex41):
         assert contraction_jacobian(ex41, np.zeros((0, 3))).shape == (0, 3, 3)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btensor import (
     ClassificationError,
@@ -18,7 +20,7 @@ from btensor import (
 from btensor import core, spectral
 from btensor.core import contract
 
-from oracles import naive_contract
+from oracles import naive_contract, serial_dedup_and_sort
 from test_solver_golden import _general, _symmetric
 
 
@@ -317,6 +319,57 @@ class TestStackedFilter:
             assert pair.residual == z_residual(tensor, pair.value, pair.vector)
             assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0
             assert abs(float(np.linalg.norm(pair.vector)) - 1.0) <= 1e-12
+
+
+def _offsets(tol):
+    """Offsets at, just inside, just outside and well away from ``tol``, of either sign."""
+    nudges = [lambda v: v, lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf)]
+    return st.builds(
+        lambda factor, nudge, sign: sign * nudge(tol * factor),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+        st.sampled_from(nudges),
+        st.sampled_from([1.0, -1.0]),
+    )
+
+
+class TestDedup:
+    """``_dedup_and_sort`` keeps exactly the pairs of the one-at-a-time keep-first loop."""
+
+    @staticmethod
+    def _check(values, vectors):
+        values, vectors = np.asarray(values, dtype=float), np.asarray(vectors, dtype=float)
+        rows = spectral._dedup_and_sort(values, vectors)
+        pairs = [spectral.EigenPair("H", float(v), x, 0.0) for v, x in zip(values, vectors)]
+        expected = serial_dedup_and_sort(pairs)
+        assert [float(values[r]) for r in rows] == [p.value for p in expected]
+        assert all(np.array_equal(vectors[r], p.vector) for r, p in zip(rows, expected))
+        return rows
+
+    def test_exact_tolerances_are_duplicates(self):
+        tol_v, tol_x = spectral.VALUE_DEDUP_TOL, spectral.VECTOR_DEDUP_TOL
+        values = [0.0, tol_v, np.nextafter(tol_v, 1.0), 0.0, 0.0, 0.0]
+        vectors = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, tol_x], [1.0, np.nextafter(tol_x, 1.0)], [-1.0, 0.0]]
+        rows = self._check(values, vectors)
+        # Sorted, row 5 comes first and is kept.  Row 0 is its negative and row 3 is tol_x from
+        # it, row 1 is its negative at tol_v: duplicates.  Rows 4 and 2 are one ulp further out.
+        assert rows.tolist() == [5, 4, 2]
+
+    def test_empty(self):
+        assert self._check(np.zeros(0), np.zeros((0, 3))).size == 0
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_near_duplicates_match_the_serial_loop(self, data):
+        n = data.draw(st.integers(1, 4))
+        components = st.lists(st.sampled_from([0.0, 0.5, -1.0]), min_size=n, max_size=n)
+        bases = data.draw(st.lists(st.tuples(st.sampled_from([0.0, 1.0, -2.5, 1e-7]), components), min_size=1, max_size=3))
+        values, vectors = [], []
+        for _ in range(data.draw(st.integers(0, 12))):
+            value, vector = data.draw(st.sampled_from(bases))
+            values.append(value + data.draw(_offsets(spectral.VALUE_DEDUP_TOL)))
+            row = np.array(vector) + np.array([data.draw(_offsets(spectral.VECTOR_DEDUP_TOL)) for _ in range(n)])
+            vectors.append(-row if data.draw(st.booleans()) else row)
+        self._check(values, np.reshape(vectors, (-1, n)))
 
 
 class TestResidualDefinitions:

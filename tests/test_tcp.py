@@ -28,6 +28,7 @@ from btensor.tcp import (
     outcome_at,
 )
 
+import oracles
 from oracles import (
     PROBE_PASSES,
     SOLVE_PASSES,
@@ -514,6 +515,29 @@ class TestStackedMultistart:
         assert fb_res > DEFAULT_TOL
         bounded, res = self.assert_probe_equals_serial(monkeypatch, ex41, q, 8, 602)
         assert res[0] <= DEFAULT_TOL and bounded
+
+    @pytest.mark.parametrize("gap, bounded", [(tcp.SAME_SOLUTION, False), (np.nextafter(tcp.SAME_SOLUTION, 1.0), True)])
+    def test_solutions_the_dedup_distance_apart(self, monkeypatch, ex41, gap, bounded):
+        # Every start ends at one of two exact solutions of a stub Newton, (gap, 50, 0) for the
+        # radius-1 starts with a first entry below 0.5 and (0, 50, 0) for the rest.  At exactly
+        # SAME_SOLUTION apart they are one solution, so the set is stable from radius 1 and 50
+        # is out of 10x reach; one ulp further they are two at radius 1 and one from radius 10.
+        def stub(instance, x0, tol, passes):
+            near = (x0.max(axis=1) < PROBE_RADII[0]) & (x0[:, 0] < 0.5)
+            return np.where(near[:, None], [gap, 50.0, 0.0], [0.0, 50.0, 0.0]), np.zeros(len(x0))
+
+        monkeypatch.setattr(tcp, "_newton_from", stub)
+        monkeypatch.setattr(oracles, "_newton_from", stub)
+        rows, serial_bounded = serial_boundedness_probe(ex41, -np.ones(3), 8, 3, PROBE_RADII, DEFAULT_TOL, PROBE_PASSES)
+        assert {x[0] for x, _ in rows[:8]} == {0.0, gap}
+        assert boundedness_probe(ex41, -np.ones(3), starts=8, seed=3) == serial_bounded == bounded
+
+    def test_distinct_keeps_the_first_of_each_cluster(self):
+        step = tcp.SAME_SOLUTION
+        points = np.array([[0.0, 0.0], [step, 0.0], [2 * step, 0.0], [0.0, -step], [np.nextafter(step, 1.0), 0.0]])
+        # (2 step, 0) is within step of (step, 0), not of (0, 0), the only point kept before it.
+        assert tcp._distinct(points).tolist() == [[0.0, 0.0], [2 * step, 0.0]]
+        assert tcp._distinct(np.zeros((0, 2))).shape == (0, 2)
 
     def test_probe_sweep_keeps_the_min_map_first_verdicts(self, monkeypatch, ex41, ex42):
         # 96 probes over the six shapes and both examples: the verdict is that of the serial
