@@ -37,7 +37,10 @@ def chain_contract(tensor, x):
 
 
 def broadcast_jacobian(tensor, x) -> np.ndarray:
-    """Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
+    """The former ``core.contraction_jacobian``, kept verbatim as the bitwise reference: numpy's
+    broadcast matmul makes one (n, n) @ (n, 1) call per block of every product.
+
+    Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
 
     Uses the exact multilinear rule: one term per contracted index slot, so
     no symmetry of the entries is assumed.  A batch row is bit for bit the
