@@ -15,7 +15,8 @@ wherever a BLAS row does not depend on the rows sharing its call; a GEMM over
 the batch would move them and is not used (see :func:`contraction_jacobian`).
 :func:`damped_newton` is the one Newton driver: it
 advances a stack of starts together, and the H- and Z-eigenpair searches and
-the complementarity solver supply only a batched residual and its Jacobian.
+the complementarity solver supply only a batched residual and its Jacobian;
+the residual may hand the Jacobian arrays it computed at the same rows.
 :class:`Report` is the base of every result dataclass and gives them their
 one JSON serialiser.
 """
@@ -186,16 +187,17 @@ def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
     The last product of each chunk is written straight into the output.
     """
     pts = np.asarray(points, dtype=float)
-    n = tensor.dim
+    arr = tensor.array
+    n = len(arr)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatch(f"expected shape (k, {n}), got {pts.shape}")
-    flat = tensor.array.reshape(-1, n)
+    flat = arr.reshape(-1, n)
     step = max(1, _BATCH_FLOATS // len(flat))
     out = np.empty(pts.shape + (1,))
     for lo in range(0, len(pts), step):
         cols = pts[lo : lo + step, :, None]
         part = flat
-        for _ in range(tensor.order - 2):
+        for _ in range(arr.ndim - 2):
             part = (part @ cols).reshape(len(cols), -1, n)
         np.matmul(part, cols, out=out[lo : lo + step])
     return out[:, :, 0]
@@ -227,33 +229,31 @@ def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
     as the matrix of the call.
     """
     pts = _as_rows(tensor, x)
-    m, n, k = tensor.order, tensor.dim, len(pts)
+    arr = tensor.array
+    m, n, k = arr.ndim, len(arr), len(pts)
     cols = pts[:, :, None]
-
-    def chain(part, axes: int, times: int):
-        # `times` products with each row, last index first, of a stack with `axes` index axes.
-        for left in range(axes - 1, axes - 1 - times, -1):
-            part = (part.reshape(-1, n**left, n) @ cols)[:, :, 0]
-        return part
-
-    terms = [None] * m
+    # Each product keeps its trailing unit axis, which the next reshape drops; last slot first.
     if m == 2:
-        terms[1] = tensor.array
+        terms = [arr]
     elif m == 3:
-        terms[2] = (tensor.array.transpose(0, 2, 1) @ pts[:, None, :, None])[..., 0]
+        terms = [arr.transpose(0, 2, 1) @ pts[:, None, :, None]]
     else:
         # Index m-1 ahead of 0 .. m-3 (merged, one stride) and m-2 as the columns.
-        view = tensor.array.transpose(m - 1, *range(m - 2), m - 2).reshape(n, -1, n)
-        terms[m - 1] = chain(view @ cols[:, None], m - 1, m - 3).reshape(k, n, n).swapaxes(1, 2)
-    shared = tensor.array.reshape(1, -1)
+        part = arr.transpose(m - 1, *range(m - 2), m - 2).reshape(n, -1, n) @ pts[:, None, :, None]
+        for left in range(m - 2, 1, -1):
+            part = part.reshape(-1, n**left, n) @ cols
+        terms = [part.reshape(k, n, n).swapaxes(1, 2)]
+    shared = arr
     for slot in range(m - 2, 0, -1):
         # shared holds indices 0 .. slot; the held term orders them (0, slot, 1, .., slot-1).
-        shared = chain(shared, slot + 2, 1)
-        held = shared.reshape(k, n, n ** (slot - 1), n).swapaxes(2, 3)
-        terms[slot] = chain(held, slot + 1, slot - 1).reshape(k, n, n)
+        shared = shared.reshape(-1, n ** (slot + 1), n) @ cols
+        part = shared.reshape(k, n, n ** (slot - 1), n).swapaxes(2, 3)
+        for left in range(slot, 1, -1):
+            part = part.reshape(-1, n**left, n) @ cols
+        terms.append(part)
     jac = np.zeros((k, n, n))
-    for term in terms[1:]:
-        jac += term
+    for term in reversed(terms):
+        jac += term.reshape(-1, n, n)
     return jac.reshape(np.shape(x) + (n,))
 
 
@@ -271,34 +271,37 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
 
     ``evaluate(z)`` takes a (j, d) stack and gives, row by row, the point it
     accepts (it may project it), the residual there and its merit, shaped
-    (j, d), (j, d) and (j,); ``jacobian(z, g)`` gives the (j, d, d) residual
-    derivatives.  Every row steps as if it ran alone: it takes the first
-    length 1, 1/2, ... above ``min_step`` that lowers its merit, and it stops
-    at merit ``<= tol``, after ``max_iter`` steps, or when no length does.
-    A round makes one stacked solve (per row, ``lstsq`` where ``solve`` finds
-    the matrix singular, or a NaN step, which stops the row, where that
-    system is not finite) and one ``evaluate`` at length 1 for the active rows.
-    The rows whose full step failed then score their shorter lengths in order:
-    each call takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of
-    each of the ``failing`` rows, and a row leaves after the call that holds
-    its first helping length.  Returns the last accepted ``(z, g, merit)``
-    stacks.
+    (j, d), (j, d) and (j,), then any row-aligned arrays for the Jacobian to
+    reuse; ``jacobian(z, g, *more)`` gets those of the accepted rows and gives
+    the (j, d, d) residual derivatives.  Every row steps as if it ran alone:
+    it takes the first length 1, 1/2, ... above ``min_step`` that lowers its
+    merit, and it stops at merit ``<= tol``, after ``max_iter`` steps, or when
+    no length does.  A round makes one ``jacobian`` call, one stacked solve
+    (per row, ``lstsq`` where ``solve`` finds the matrix singular, or a NaN
+    step, which stops the row, where that system is not finite) and one
+    ``evaluate`` at length 1 for the active rows.  The rows whose full step
+    failed then score their shorter lengths in order: each call takes the next
+    ``max(1, _TRIAL_POINTS // failing)`` lengths of each of the ``failing``
+    rows, and a row leaves after the call that holds its first helping
+    length.  Returns the last accepted ``(z, g, merit)`` stacks.
     """
     shorter = _shorter_lengths(min_step)
-    z, g, merit = evaluate(np.array(z0, dtype=float))
-    # The rows still stepping, by id, and their states; a state goes back to z, g and
-    # merit when its row stops.  A NaN merit stops at once, as no length could lower it,
-    # and no row steps when even the full length is not above min_step.
-    rows, zr, gr, mr = np.arange(len(z)), z, g, merit
-    going = (merit > tol) & (min_step < 1.0)
+    state = evaluate(np.array(z0, dtype=float))
+    # The rows still stepping, by id, and their arrays; a row's arrays go back into state
+    # when it stops.  A NaN merit stops at once, as no length could lower it, and no row
+    # steps when even the full length is not above min_step.
+    rows, live = np.arange(len(state[0])), state
+    going = (state[2] > tol) & (min_step < 1.0)
     for _ in range(max_iter):
         moving = np.count_nonzero(going)
         if not moving:
             break
         if moving < len(rows):
-            z[rows], g[rows], merit[rows] = zr, gr, mr
-            rows, zr, gr, mr = rows[going], zr[going], gr[going], mr[going]
-        jac = jacobian(zr, gr)
+            for whole, part in zip(state, live):
+                whole[rows] = part
+            rows, live = rows[going], [part[going] for part in live]
+        zr, gr, mr = live[:3]
+        jac = jacobian(zr, gr, *live[3:])
         try:
             delta = np.linalg.solve(jac, -gr[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -310,43 +313,51 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
                     # lstsq never returns on a non-finite system; a NaN step stops the row.
                     finite = np.isfinite(jac[r]).all() and np.isfinite(gr[r]).all()
                     delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0] if finite else np.nan
-        tz, tg, tm = evaluate(zr + delta)
-        helped = tm < mr
+        trial = evaluate(zr + delta)
+        helped = trial[2] < mr
         if np.count_nonzero(helped) < len(rows):
-            failing, at = np.flatnonzero(~helped), 0
+            failing, at = (~helped).nonzero()[0], 0
             while failing.size and at < len(shorter):
                 lengths = shorter[at : at + max(1, _TRIAL_POINTS // len(failing))]
                 at += len(lengths)
-                trial = zr[failing, None] + lengths * delta[failing, None]
-                sz, sg, sm = evaluate(trial.reshape(-1, z.shape[1]))
-                helps = sm.reshape(len(failing), -1) < mr[failing, None]
+                points = zr[failing, None] + lengths * delta[failing, None]
+                scored = evaluate(points.reshape(-1, zr.shape[1]))
+                helps = scored[2].reshape(len(failing), -1) < mr[failing, None]
                 found = helps.any(axis=1)
                 pick = (helps.argmax(axis=1) + len(lengths) * np.arange(len(failing)))[found]
                 hit = failing[found]
-                tz[hit], tg[hit], tm[hit] = sz[pick], sg[pick], sm[pick]
+                for into, part in zip(trial, scored):
+                    into[hit] = part[pick]
                 helped[hit] = True
                 failing = failing[~found]
-            # A row that no length helps keeps its point and stops.
-            tz = np.where(helped[:, None], tz, zr)
-            tg = np.where(helped[:, None], tg, gr)
-            tm = np.where(helped, tm, mr)
-        zr, gr, mr = tz, tg, tm
-        going = helped & (mr > tol)
-    z[rows], g[rows], merit[rows] = zr, gr, mr
-    return z, g, merit
+            # A row that no length helps keeps its arrays and stops.
+            if failing.size:
+                for into, part in zip(trial, live):
+                    into[failing] = part[failing]
+        live = trial
+        going = helped & (live[2] > tol)
+    for whole, part in zip(state, live):
+        whole[rows] = part
+    return state[:3]
 
 
 def vector_norm(x, p: float = 2.0) -> float:
-    """The p-norm for p >= 1, or the max-abs norm for ``p = math.inf``."""
+    """The p-norm for p >= 1, or the max-abs norm for ``p = math.inf``: the ufuncs (and bits)
+    of ``np.linalg.norm(x, p)`` on a vector, without its dispatch."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if p == math.inf:
-        return float(np.max(np.abs(v)))
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    return float(np.linalg.norm(v, ord=p))
+    if p == math.inf:
+        return float(np.maximum.reduce(np.abs(v)))
+    if p == 2.0:
+        v = v.ravel(order="K")
+        return math.sqrt(v.dot(v))
+    powers = np.abs(v)
+    powers **= p
+    return float(np.add.reduce(powers) ** (1.0 / p))
 
 
 def scaled_map(tensor: Tensor, x) -> np.ndarray:

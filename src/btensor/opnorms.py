@@ -51,9 +51,10 @@ def _check_operator(operator: str) -> str:
 
 
 def _check_p(p: float) -> float:
-    if p != math.inf and float(p) < 1:
+    p = float(p)
+    if not p >= 1:  # NaN too
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
-    return float(p)
+    return p
 
 
 def _row_abs_sums(tensor: Tensor) -> np.ndarray:

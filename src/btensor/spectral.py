@@ -162,7 +162,7 @@ def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def _unit_starts(rng: np.random.Generator, starts: int, n: int) -> np.ndarray:
     """``starts`` standard normal draws of length n in draw order, each scaled to unit 2-norm."""
-    x = np.array([rng.standard_normal(n) for _ in range(starts)])
+    x = rng.standard_normal((starts, n))
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
 

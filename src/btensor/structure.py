@@ -120,8 +120,9 @@ def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
     thresholds = profile.row_sums / scale
 
     gap = thresholds - profile.max_offdiag  # +inf when dim == 1
-    is_b = bool(np.all(profile.row_sums > tol) and np.all(gap > tol))
-    is_b0 = bool(np.all(profile.row_sums >= -tol) and np.all(gap >= -tol))
+    is_b = bool((profile.row_sums > tol).all() and (gap > tol).all())
+    # The strict margins imply the non-strict ones, as tol >= 0.
+    is_b0 = is_b or bool((profile.row_sums >= -tol).all() and (gap >= -tol).all())
 
     witnesses: list[Witness] = []
     if not is_b and not is_b0:

@@ -3,6 +3,8 @@
 The solver runs :func:`core.damped_newton` on a stack of starts in two passes, on the natural
 residual ``min(x, w)`` (semismooth, projected onto x >= 0) and on the Fischer-Burmeister residual
 ``x + w - hypot(x, w)``; the second runs from the same starts on those the first leaves unsolved.
+In either pass each residual call makes one ``contract_batch`` call and each Jacobian call one
+``contraction_jacobian`` call and no contraction, as the Jacobian reuses the residual's w.
 ``solve`` runs the natural residual first, its first start alone and, only if that fails, its other
 starts as one stack, keeping the first in start order that converges.  The boundedness probe runs
 the starts of every radius as one stack, Fischer-Burmeister first, as the min-map pass takes far
@@ -84,7 +86,7 @@ def residual(instance: TcpInstance, x) -> tuple[float, np.ndarray]:
     """Natural residual ``max |min(x, w)|`` and the slack w at x."""
     x = np.asarray(x, dtype=float)
     w = instance.q + contract(instance.tensor, x)
-    return float(np.max(np.abs(np.minimum(x, w)))), w
+    return float(np.maximum.reduce(np.abs(np.minimum(x, w)))), w
 
 
 def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> TcpOutcome:
@@ -106,11 +108,13 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     def evaluate(x):
         x = np.maximum(x, 0.0)
         phi = np.minimum(x, q + contract_batch(tensor, x))
-        return x, phi, np.abs(phi).max(axis=1)
+        return x, phi, np.maximum.reduce(np.abs(phi), axis=1)
 
     def jacobian(x, phi):
         # Rows where min(x, w) picks x (x <= w) differentiate to the identity, the rest to w's.
-        return np.where((phi == x)[:, :, None], identity, contraction_jacobian(tensor, x))
+        jac = contraction_jacobian(tensor, x)
+        np.copyto(jac, identity, where=(phi == x)[:, :, None])
+        return jac
 
     x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12)
     return x, res
@@ -121,26 +125,28 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
 
     Its merit ``max |phi|`` is at least ``(2 - sqrt 2)`` times the natural residual (De Luca,
     Facchinei & Kanzow 1996), so the tolerance ``tol * (2 - sqrt 2)`` implies a natural residual
-    within ``tol``.  Returns the (k, n) points, projected onto x >= 0, and their natural residuals.
+    within ``tol``.  The Jacobian reuses w and ``r = hypot(x, w)`` from ``evaluate``.  Returns the
+    (k, n) points, projected onto x >= 0, and their natural residuals.
     """
     tensor, q = instance.tensor, instance.q
+    identity = np.eye(tensor.dim)
 
     def evaluate(x):
         w = q + contract_batch(tensor, x)
-        phi = x + w - np.hypot(x, w)
-        return x, phi, np.abs(phi).max(axis=1)
-
-    def jacobian(x, phi):
-        # diag(1 - x/r) + diag(1 - w/r) J, with x/r = w/r = 1/sqrt 2 where r = 0.
-        w = q + contract_batch(tensor, x)
         r = np.hypot(x, w)
-        x_r, w_r = (np.divide(v, r, out=np.full_like(r, math.sqrt(0.5)), where=r > 0) for v in (x, w))
+        phi = x + w - r
+        return x, phi, np.maximum.reduce(np.abs(phi), axis=1), w, r
+
+    def jacobian(x, phi, w, r):
+        # diag(1 - x/r) + diag(1 - w/r) J, with x/r = w/r = 1/sqrt 2 where r = 0.
+        live = r > 0
+        x_r, w_r = (np.divide(v, r, out=np.full_like(r, math.sqrt(0.5)), where=live) for v in (x, w))
         jac = (1.0 - w_r)[:, :, None] * contraction_jacobian(tensor, x)
-        return jac + (1.0 - x_r)[:, :, None] * np.eye(tensor.dim)
+        return jac + (1.0 - x_r)[:, :, None] * identity
 
     fb_tol = tol * (2.0 - math.sqrt(2.0))
     x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12)[0], 0.0)
-    return x, np.abs(np.minimum(x, q + contract_batch(tensor, x))).max(axis=1)
+    return x, np.maximum.reduce(np.abs(np.minimum(x, q + contract_batch(tensor, x))), axis=1)
 
 
 def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float, passes: tuple[Callable, Callable]):
@@ -152,7 +158,7 @@ def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float, passes: tupl
     """
     first, second = passes
     x, res = first(instance, x0, tol)
-    rows = np.flatnonzero(~(res <= tol))
+    rows = (~(res <= tol)).nonzero()[0]
     if rows.size:
         x_second, res_second = second(instance, x0[rows], tol)
         better = res_second < np.nan_to_num(res[rows], nan=np.inf)
@@ -225,11 +231,11 @@ def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
     with np.errstate(over="ignore"):
         # (name, numerator, denominator) of each bound.
         parts = [
-            ("lb_inf", vector_norm(neg, math.inf), float(n ** (m - 1) * diag.max())),
-            ("lb_2", vector_norm(neg, 2), n ** ((m - 1) / 2) * math.sqrt(float(np.sum(diag**2)))),
+            ("lb_inf", vector_norm(neg, math.inf), float(n ** (m - 1) * np.maximum.reduce(diag))),
+            ("lb_2", vector_norm(neg, 2), n ** ((m - 1) / 2) * math.sqrt(np.add.reduce(diag**2))),
         ]
         if m % 2 == 0:
-            denominator = n ** ((m - 1) ** 2 / m) * float(np.sum(diag ** (m / (m - 1)))) ** ((m - 1) / m)
+            denominator = n ** ((m - 1) ** 2 / m) * float(np.add.reduce(diag ** (m / (m - 1)))) ** ((m - 1) / m)
             parts.append(("lb_m", vector_norm(neg, m), denominator))
     bounds = {"lb_m": None}
     for name, numerator, denominator in parts:

@@ -160,6 +160,14 @@ class TestBoundsCommand:
         assert not out
         assert err == "error: operation needs at least a B0 tensor, classification is Neither\n"
 
+    @pytest.mark.parametrize("p", ["nan", "0.5"])
+    def test_exponent_below_one_is_usage_error(self, capsys, p):
+        # NaN once passed the p < 1 check and came out as "general_upper is nan".
+        code, out, err = run_cli(capsys, "bounds", EX41, "--op", "T", "--norm", "p", "--p", p)
+        assert code == 2
+        assert not out
+        assert err == f"error: norm exponent must be >= 1 or inf, got {float(p)}\n"
+
     def test_negative_steps_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "bounds", EX41, "--op", "T", "--estimate", "--steps", "-1")
         assert code == 2

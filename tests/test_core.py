@@ -400,9 +400,31 @@ class TestVectorNorm:
     def test_ones_p_norm(self, n, p):
         assert abs(vector_norm(np.ones(n), p) - n ** (1 / p)) <= 1e-12
 
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            vector_norm([1.0], 0.5)
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_p_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="norm exponent must be >= 1"):
+            vector_norm([1.0], p)
+
+    @given(
+        dim=st.integers(1, 8),
+        p=st.sampled_from([1, 2, 3, 4, 6, math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bits_match_numpy_norm(self, dim, p, seed, reverse):
+        # Magnitudes 1e-300 .. 1e300 with a share of zeros and of subnormals, so the powers
+        # overflow and underflow; a reversed view has negative strides.
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(dim) * 10.0 ** rng.integers(-300, 301, dim)
+        share = rng.random(dim)
+        v[share < 0.2] = 0.0
+        tiny = (share >= 0.2) & (share < 0.35)
+        v[tiny] = 5e-324 * rng.integers(1, 2**40, dim)[tiny]
+        v = v[::-1] if reverse else v
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = vector_norm(v, p), float(np.linalg.norm(v, p))
+        assert got.hex() == want.hex()
 
     def test_monotone_in_p_and_limit(self, rng):
         x = rng.uniform(-3.0, 3.0, 6)

@@ -77,6 +77,12 @@ class TestTBounds:
         with pytest.raises(ValueError, match="norm exponent must be >= 1 or inf, got 0.5"):
             t_norm_bounds(ex41, 0.5)
 
+    def test_nan_exponent_rejected(self, ex41):
+        # NaN fails every comparison, so a plain p < 1 check let it through to a NaN bound.
+        for bound in (lambda p: t_norm_bounds(ex41, p), lambda p: general_upper_bound(ex41, "T", p)):
+            with pytest.raises(ValueError, match="norm exponent must be >= 1 or inf, got nan"):
+                bound(math.nan)
+
 
 class TestFBounds:
     def test_bundled_example_one_norm(self, ex41):

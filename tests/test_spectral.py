@@ -385,3 +385,16 @@ class TestResidualDefinitions:
         s = float(x @ x) ** 1.0  # (m - 2) / 2 with m = 4
         direct = np.linalg.norm(contract(ex41, x) - value * x * s)
         assert z_residual(ex41, value, x) == float(direct)
+
+
+class TestUnitStarts:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_one_draw_gives_the_rows_of_one_draw_per_start(self, dim):
+        # The generator fills a (starts, n) draw row by row, as n-draws one after another;
+        # the rows are scaled as _unit_starts scales them, so the bits must match.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            rows = np.array([rng.standard_normal(dim) for _ in range(spectral.DEFAULT_STARTS)])
+            rows /= np.sqrt(spectral._row_dot(rows, rows))[:, None]
+            got = spectral._unit_starts(np.random.default_rng(seed), spectral.DEFAULT_STARTS, dim)
+            assert np.array_equal(got, rows), seed

@@ -17,7 +17,7 @@ from btensor import (
     tcp_solve,
     verify_solution_bounds,
 )
-from btensor import tcp
+from btensor import core, tcp
 from btensor.tcp import (
     DEFAULT_TOL,
     PROBE_RADII,
@@ -588,3 +588,64 @@ class TestMultistartWork:
         calls = self.count(monkeypatch)
         assert tcp_solve(instance, starts=16, seed=seed).starts_used > 1
         assert calls == {"newton": 2, "rng": 1}
+
+
+class TestNewtonRoundWork:
+    """Each ``evaluate`` of a Newton pass makes one ``contract_batch`` call and each Jacobian one
+    ``contraction_jacobian`` call and no contraction: the Fischer-Burmeister Jacobian gets the
+    slack w that ``evaluate`` computed at its rows from ``damped_newton``."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The kernel calls tcp makes, with the ``evaluate`` and ``jacobian`` spans around them."""
+        log = []
+        for name in ("contract_batch", "contraction_jacobian"):
+            kernel = getattr(tcp, name)
+            monkeypatch.setattr(tcp, name, lambda *a, name=name, kernel=kernel: log.append(name) or kernel(*a))
+
+        def spanned(kind, fn):
+            def call(*args):
+                log.append(kind)
+                out = fn(*args)
+                log.append("end")
+                return out
+
+            return call
+
+        def damped_newton(evaluate, jacobian, *rest):
+            return core.damped_newton(spanned("evaluate", evaluate), spanned("jacobian", jacobian), *rest)
+
+        monkeypatch.setattr(tcp, "damped_newton", damped_newton)
+        return log
+
+    @staticmethod
+    def spans(log, kind):
+        """The kernel calls inside each span of the kind, in order."""
+        found = []
+        for k, entry in enumerate(log):
+            if entry == kind:
+                found.append(log[k + 1 : log.index("end", k)])
+        return found
+
+    def test_fischer_burmeister_jacobian_makes_no_contraction(self, monkeypatch, ex41):
+        # The probe's stack from its three radii, Fischer-Burmeister pass alone.
+        x0 = np.random.default_rng(4).uniform(0.0, np.array(PROBE_RADII)[:, None, None], (3, 8, 3))
+        log = self.spy(monkeypatch)
+        _, res = tcp._fb_newton(make_instance(ex41, [-1.0, 0.5, -0.3]), x0.reshape(-1, 3), DEFAULT_TOL)
+        assert (res <= DEFAULT_TOL).any()
+        jacobians = self.spans(log, "jacobian")
+        assert len(jacobians) > 1 and all(calls == ["contraction_jacobian"] for calls in jacobians)
+        assert all(calls == ["contract_batch"] for calls in self.spans(log, "evaluate"))
+
+    @pytest.mark.parametrize("shape", TCP_SHAPES)
+    def test_first_start_solve_makes_one_kernel_call_per_step(self, monkeypatch, shape):
+        rng = np.random.default_rng(shape)
+        instance = make_instance(random_b_tensor(*shape, rng), -rng.uniform(0.2, 1.0, shape[1]))
+        log = self.spy(monkeypatch)
+        outcome = tcp_solve(instance)
+        assert outcome.converged and outcome.starts_used == 1
+        rounds, evaluations = self.spans(log, "jacobian"), self.spans(log, "evaluate")
+        assert rounds and all(calls == ["contraction_jacobian"] for calls in rounds)
+        assert all(calls == ["contract_batch"] for calls in evaluations)
+        assert log.count("contraction_jacobian") == len(rounds)
+        assert log.count("contract_batch") == len(evaluations)
