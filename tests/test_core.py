@@ -400,10 +400,14 @@ class TestVectorNorm:
     def test_ones_p_norm(self, n, p):
         assert abs(vector_norm(np.ones(n), p) - n ** (1 / p)) <= 1e-12
 
-    @pytest.mark.parametrize("p", [0.5, math.nan])
-    def test_p_below_one_rejected(self, p):
-        with pytest.raises(ValueError, match="norm exponent must be >= 1"):
-            vector_norm([1.0], p)
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            vector_norm([1.0], 0.5)
+
+    def test_nan_p_rejected(self):
+        # NaN fails every comparison, so a plain p < 1 check let it through to a NaN norm.
+        with pytest.raises(ValueError, match="norm exponent must be >= 1, got nan"):
+            vector_norm(np.ones(3), math.nan)
 
     @given(
         dim=st.integers(1, 8),
