@@ -27,10 +27,17 @@ GOLDEN_TOL = 1e-9
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("BTENSOR_SEED")
-    return int(env) if env else 0
+    """The seed of ``--seed``, else of ``BTENSOR_SEED``, else 0; ValueError names the source of
+    one that is not a non-negative integer."""
+    env = os.environ.get("BTENSOR_SEED") or "0"
+    source, text = ("--seed", value) if value is not None else ("BTENSOR_SEED", env)
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _load(path: str):
@@ -399,10 +406,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args._argv = ["btensor"] + argv
-    if hasattr(args, "seed"):
-        args.seed = _default_seed(args.seed)
     started = time.perf_counter()
     try:
+        if hasattr(args, "seed"):
+            args.seed = _default_seed(args.seed)
         code, payload = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:

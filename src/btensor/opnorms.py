@@ -8,10 +8,11 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone.  One private function computes the class bracket of
-both maps; :func:`closed_form_report` classifies a tensor once and gives
-that bracket at its own class as a :class:`NormBoundReport` with no
-estimate, and :func:`bound_report` adds the checked estimate to it.
+as if it ran alone.  One private closed form, ``scale * ||v ** r||_p``,
+gives every bound, and one private function the class bracket of both
+maps; :func:`closed_form_report` classifies a tensor once and gives that
+bracket at its own class as a :class:`NormBoundReport` with no estimate,
+and :func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
 
@@ -44,38 +45,36 @@ class SandwichViolation(ArithmeticError):
     """Empirical estimate escaped the closed-form bracket."""
 
 
-def _check_operator(operator: str) -> str:
+def _checked_p(operator: str, p: float, order: Optional[int] = None) -> float:
+    """``p`` as a float, once the operator, then ``p >= 1`` or inf, then F's even order if given, pass."""
     if operator not in ("T", "F"):
         raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
-    return operator
-
-
-def _check_p(p: float) -> float:
     p = float(p)
     if not p >= 1:  # NaN too
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
+    if operator == "F" and order is not None and order % 2:
+        raise UnsupportedOrder(f"operator F needs an even order, got {order}")
     return p
 
 
-def _row_abs_sums(tensor: Tensor) -> np.ndarray:
-    return np.abs(tensor.array).reshape(tensor.dim, -1).sum(axis=1)
+def _closed_form(v: np.ndarray, p: float, scale: float, power: float):
+    """``scale * ||v ** r||_p``, where ``power`` is r for the max norm and, for finite p, the
+    in-sum exponent ``p * r`` as the caller rounds it."""
+    if p == math.inf:
+        return scale * v.max() ** power
+    return scale * np.sum(v**power) ** (1 / p)
 
 
 def general_upper_bound(tensor: Tensor, operator: str, p: float = math.inf) -> float:
     """Row-absolute-sum upper bound, valid for every tensor."""
-    _check_operator(operator)
-    p = _check_p(p)
     m, n = tensor.order, tensor.dim
-    if operator == "F" and m % 2:
-        raise UnsupportedOrder(f"operator F needs an even order, got {m}")
-    rabs = _row_abs_sums(tensor)
+    p = _checked_p(operator, p, m)
+    rabs = np.abs(tensor.array).reshape(n, -1).sum(axis=1)
     if operator == "T":
-        if p == math.inf:
-            return float(rabs.max())
-        return float(n ** ((m - 2) / p) * np.sum(rabs**p) ** (1 / p))
-    if p == math.inf:
-        return float(rabs.max() ** (1 / (m - 1)))
-    return float(np.sum(rabs ** (p / (m - 1))) ** (1 / p))
+        scale, power = (1, 1) if p == math.inf else (n ** ((m - 2) / p), p)
+    else:
+        scale, power = 1, 1 / (m - 1) if p == math.inf else p / (m - 1)
+    return float(_closed_form(rabs, p, scale, power))
 
 
 def _bracket(tensor: Tensor, operator: str, p: float, strict: bool, beta: np.ndarray) -> tuple[float, float]:
@@ -88,16 +87,14 @@ def _bracket(tensor: Tensor, operator: str, p: float, strict: bool, beta: np.nda
     includes the uniform start never falls below it.
     """
     m, n = tensor.order, tensor.dim
-    diag = tensor.diagonal
     r = 1 if operator == "T" else 1.0 / (m - 1)
     if p == math.inf:
-        scale = n ** (m / 2) if operator == "T" else n
-        lower, upper = scale * beta.max() ** r, scale * diag.max() ** r
-        if operator == "F":
-            upper = min(general_upper_bound(tensor, "F", math.inf), upper)
+        scale, power = (n ** (m / 2) if operator == "T" else n), r
     else:
-        scale = n ** ((m * p - 2) / (2 * p)) if operator == "T" else n ** ((p - 1) / p)
-        lower, upper = (scale * np.sum(v ** (p * r)) ** (1 / p) for v in (beta, diag))
+        scale, power = (n ** ((m * p - 2) / (2 * p)) if operator == "T" else n ** ((p - 1) / p)), p * r
+    lower, upper = (_closed_form(v, p, scale, power) for v in (beta, tensor.diagonal))
+    if operator == "F" and p == math.inf:
+        upper = min(general_upper_bound(tensor, "F", math.inf), upper)
     if strict:
         witness = _normalize_rows(np.ones((1, n)), p)
         lower = max(lower, float(_row_norms(_MAPS[operator](tensor, witness), p)[0]))
@@ -111,7 +108,7 @@ def t_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     the strict class by the uniform-witness value, which makes the bracket
     strict.  The upper bound uses only the diagonal entries.
     """
-    p = _check_p(p)
+    p = _checked_p("T", p)
     return _bracket(tensor, "T", p, variant == "B", require_membership(tensor, variant).beta)
 
 
@@ -121,9 +118,7 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     For the max norm the reported upper is the minimum of the diagonal and
     the general bound.
     """
-    p = _check_p(p)
-    if tensor.order % 2:
-        raise UnsupportedOrder(f"operator F needs an even order, got {tensor.order}")
+    p = _checked_p("F", p, tensor.order)
     return _bracket(tensor, "F", p, variant == "B", require_membership(tensor, variant).beta)
 
 
@@ -165,8 +160,8 @@ def estimate_norm(
     next move is made, so each row climbs as it would alone.  The result is
     deterministic in the seed and never exceeds the true operator norm.
     """
-    apply_map = _MAPS[_check_operator(operator)]
-    p = _check_p(p)
+    p = _checked_p(operator, p)
+    apply_map = _MAPS[operator]
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if ascent_steps < 0:
@@ -224,8 +219,7 @@ def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf) -> No
     naming the first bound that is not finite; numpy's overflow warnings
     are silenced, as the error says it.
     """
-    _check_operator(operator)
-    p = _check_p(p)
+    p = _checked_p(operator, p)
     membership = require_membership(tensor, "B0")
     variant = membership.verdict  # "B" or "B0"
     with np.errstate(over="ignore"):

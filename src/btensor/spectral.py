@@ -3,7 +3,7 @@
 Two real eigenpair kinds are handled.  An H-pair solves
 ``contract(A, x) = value * x**(m-1)`` componentwise; a Z-pair solves
 ``contract(A, x) = value * x * (x.x)**((m-2)/2)``.  The searches are seeded
-multistarts of :func:`core.damped_newton` on that equation with ``x.x = 1``
+multistarts of one bordered Newton system, that equation with ``x.x = 1``
 (for Z on symmetric input, after a shifted power iteration), so they return
 a subset of the true pairs; bound verification is falsification style: every
 found pair must land inside the closed-form bounds from the diagonal alone.
@@ -160,11 +160,39 @@ def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.array([v**exponent for v in values.tolist()])
 
 
-def _unit_starts(rng: np.random.Generator, starts: int, n: int) -> np.ndarray:
+def _unit_starts(seed: int, starts: int, n: int) -> np.ndarray:
     """``starts`` standard normal draws of length n in draw order, each scaled to unit 2-norm."""
-    x = rng.standard_normal((starts, n))
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    x = np.random.default_rng(seed).standard_normal((starts, n))
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x
+
+
+def _bordered_newton(tensor: Tensor, defect, terms, x0: np.ndarray, values0: np.ndarray) -> np.ndarray:
+    """The (vector, value) rows that :func:`core.damped_newton` takes from the starts (x0, values0)
+    to ``defect(tensor, x, value) = 0`` with ``x.x = 1``.  ``terms(x, value)`` gives the block the
+    value's term takes off the contraction Jacobian, and the value's column of the bordered Jacobian."""
+    n = tensor.dim
+
+    def evaluate(z):
+        x = z[:, :n]
+        g = np.empty_like(z)
+        g[:, :n] = defect(tensor, x, z[:, n])
+        g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
+        return z, g, np.sqrt(_row_dot(g, g))
+
+    def jacobian(z, g):
+        x = z[:, :n]
+        block, column = terms(x, z[:, n])
+        jac = np.zeros((len(z), n + 1, n + 1))
+        jac[:, :n, :n] = contraction_jacobian(tensor, x) - block
+        jac[:, :n, n] = column
+        jac[:, n, :n] = x
+        return jac
+
+    z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x0, values0]), *NEWTON_LIMITS)
+    return z[merit <= NEWTON_LIMITS[1]]
 
 
 def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 0) -> list[EigenPair]:
@@ -174,36 +202,22 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     dropped; every returned pair re-checks its defining equation to within
     ``ACCEPT_RESIDUAL`` at the normalized vector.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
     diag = np.arange(n)
 
-    def evaluate(z):
-        x = z[:, :n]
-        g = np.empty_like(z)
-        g[:, :n] = _h_defect(tensor, x, z[:, n])
-        g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
-        return z, g, np.sqrt(_row_dot(g, g))
-
-    def jacobian(z, g):
-        x, lam = z[:, :n], z[:, n]
-        powers = np.zeros((len(z), n, n))
+    def terms(x, lam):
+        powers = np.zeros((len(x), n, n))
         powers[:, diag, diag] = x ** (m - 2)
-        jac = np.zeros((len(z), n + 1, n + 1))
-        jac[:, :n, :n] = contraction_jacobian(tensor, x) - (lam * (m - 1))[:, None, None] * powers
-        jac[:, :n, n] = -(x ** (m - 1))
-        jac[:, n, :n] = x
-        return jac
+        return (lam * (m - 1))[:, None, None] * powers, -(x ** (m - 1))
 
-    x0 = _unit_starts(np.random.default_rng(seed), starts, n)
+    x0 = _unit_starts(seed, starts, n)
     powers = x0 ** (m - 1)
     denom = _row_dot(powers, powers)
     lam0 = np.zeros(starts)
     np.divide(_row_dot(powers, contract_batch(tensor, x0)), denom, out=lam0, where=denom > 0)
-    z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x0, lam0]), *NEWTON_LIMITS)
+    z = _bordered_newton(tensor, _h_defect, terms, x0, lam0)
     # Canonical vectors: max-norm 1 with the max-attaining component positive.
-    z = z[(merit <= NEWTON_LIMITS[1]) & ~(np.abs(z[:, :n]).max(axis=1) < 1e-12)]
+    z = z[~(np.abs(z[:, :n]).max(axis=1) < 1e-12)]
     x = z[:, :n]
     x /= np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
     return _accepted_pairs("H", tensor, z, _h_defect)
@@ -217,40 +231,25 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     goes straight to the Newton formulation.  Returned vectors have unit
     2-norm and residual at most ``ACCEPT_RESIDUAL``.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     m, n = tensor.order, tensor.dim
 
-    def evaluate(z):
-        x = z[:, :n]
-        g = np.empty_like(z)
-        g[:, :n] = _z_defect(tensor, x, z[:, n])
-        g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
-        return z, g, np.sqrt(_row_dot(g, g))
-
-    def jacobian(z, g):
-        x, mu = z[:, :n], z[:, n]
+    def terms(x, mu):
         sq = _row_dot(x, x)
         s = _row_power(sq, (m - 2) / 2)[:, None, None]
         # (m-2) |x|^(m-4) x x^T tends to 0 at x = 0, where the power alone is 1/0 for m < 4.
         bend = np.array([(m - 2) * v ** ((m - 4) / 2) if v else 0.0 for v in sq.tolist()])[:, None, None]
         outer = x[:, :, None] * x[:, None, :]
-        jac = np.zeros((len(z), n + 1, n + 1))
-        jac[:, :n, :n] = contraction_jacobian(tensor, x) - mu[:, None, None] * (s * np.eye(n) + bend * outer)
-        jac[:, :n, n] = -x * s[:, :, 0]
-        jac[:, n, :n] = x
-        return jac
+        return mu[:, None, None] * (s * np.eye(n) + bend * outer), -x * s[:, :, 0]
 
-    x = _unit_starts(np.random.default_rng(seed), starts, n)
+    x = _unit_starts(seed, starts, n)
     values = contract_batch(tensor, x)
     if is_entry_symmetric(tensor):
         x, values = _shifted_power_iteration(tensor, x, values)
-    mu0 = _row_dot(x, values)
-    z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x, mu0]), *NEWTON_LIMITS)
+    z = _bordered_newton(tensor, _z_defect, terms, x, _row_dot(x, values))
     # Canonical vectors: unit 2-norm with the max-attaining component positive.  Flipping
     # the sign keeps the value for even order and negates it for odd order.
     norms = np.sqrt(_row_dot(z[:, :n], z[:, :n]))
-    keep = (merit <= NEWTON_LIMITS[1]) & ~(norms < 1e-8)
+    keep = ~(norms < 1e-8)
     z = z[keep]
     x, mu = z[:, :n], z[:, n]
     x /= norms[keep, None]

@@ -104,16 +104,22 @@ class ClassificationReport(Report):
         return payload
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError for a ``tol`` that is negative, NaN or infinite."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
+
+
 def classify(tensor: Tensor, tol: float = 0.0) -> ClassificationReport:
     """Classify a tensor, with ``tol`` as the required margin on the strict inequalities.
 
     The default ``tol = 0`` applies the definitions with exact floating
     comparisons.  A positive tolerance demands ``> tol`` margins for the
     strict class and allows ``>= -tol`` slack for the non-strict one.  A
-    negative (or NaN) ``tol`` would loosen both definitions and is rejected.
+    negative (or NaN) ``tol`` would loosen both definitions, and an infinite
+    one would label every member non-strict, so both are rejected.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     profile = row_profile(tensor)
     n, m = tensor.dim, tensor.order
     scale = float(n ** (m - 1))
@@ -330,14 +336,11 @@ def random_b_tensor(order: int, dim: int, rng: np.random.Generator) -> Tensor:
     """
     arr = rng.uniform(-1.0, 1.0, size=(dim,) * order)
     rows = arr.reshape(dim, -1)
-    diag_pos = _diag_flat_positions(order, dim)
-    scale = float(dim ** (order - 1))
-    for i in range(dim):
-        rows[i, diag_pos[i]] = 0.0
-        off_sum = rows[i].sum()
-        margin = rng.uniform(0.01, 1.0)
-        off_max = max(0.0, rows[i].max())
-        rows[i, diag_pos[i]] = scale * (off_max + margin) - off_sum
+    diag = (np.arange(dim), _diag_flat_positions(order, dim))
+    rows[diag] = 0.0
+    margin = rng.uniform(0.01, 1.0, dim)
+    # With its diagonal entry zeroed, a row's max is its beta, max(0, largest off-diagonal entry).
+    rows[diag] = float(dim ** (order - 1)) * (rows.max(axis=1) + margin) - rows.sum(axis=1)
     return Tensor(arr)
 
 

@@ -31,7 +31,7 @@ from .core import (
     damped_newton,
     vector_norm,
 )
-from .structure import require_membership
+from .structure import _check_tol, require_membership
 
 __all__ = [
     "TcpInstance",
@@ -91,7 +91,8 @@ def residual(instance: TcpInstance, x) -> tuple[float, np.ndarray]:
 
 def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> TcpOutcome:
     """The :class:`TcpOutcome` of the point x: its residual and slack, converged when the
-    residual is within ``tol``."""
+    residual is within ``tol``, which must be finite and >= 0."""
+    _check_tol(tol)
     res, w = residual(instance, x)
     x = np.asarray(x, dtype=float)
     return TcpOutcome(x=x, w=w, residual=res, converged=res <= tol, starts_used=starts_used)
@@ -181,10 +182,11 @@ def solve(
     they run as one stack.  Returns the first start, in start order, that
     reaches the tolerance, otherwise the best point found (smallest residual,
     ties broken by lexicographically smallest x).  Non-convergence is
-    reported, not raised.
+    reported, not raised; ``tol`` must be finite and >= 0.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    _check_tol(tol)
     tensor, q = instance.tensor, instance.q
     base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
     passes = (_monotone_newton, _fb_newton)

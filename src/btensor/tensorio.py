@@ -47,7 +47,10 @@ class TensorFormatError(ValueError):
 
 
 def check_entry_budget(order: int, dim: int) -> None:
-    """Raise :class:`TensorFormatError` for more than ``ENTRY_LIMIT`` entries or numpy's 64 axes."""
+    """Raise :class:`TensorFormatError` for no tensor (order < 2 or dim < 1), more than
+    ``ENTRY_LIMIT`` entries or numpy's 64 axes."""
+    if order < 2 or dim < 1:
+        raise TensorFormatError(f"a tensor needs order >= 2 and dim >= 1, got order {order}, dim {dim}")
     if order > 64:
         raise TensorFormatError(f"order {order} is over numpy's limit of 64 axes")
     if dim**order > ENTRY_LIMIT:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from btensor.core import _as_rows, contract_batch
+from btensor.core import Tensor, _as_rows, contract_batch
 from btensor.spectral import VALUE_DEDUP_TOL, VECTOR_DEDUP_TOL
+from btensor.structure import _diag_flat_positions
 from btensor.tcp import TcpInstance, _fb_newton, _monotone_newton, _newton_from, outcome_at
 
 
@@ -352,3 +353,19 @@ def naive_sparse_tensor(order, dim, default, entries):
             raise ValueError(f"entry {pos}: value must be a finite number")
         arr[tuple(i - 1 for i in index)] = number
     return arr
+
+
+def loop_random_b_tensor(order, dim, rng):
+    """The former ``structure.random_b_tensor``, kept verbatim as the bitwise reference: one
+    Python pass per row, drawing that row's margin with one scalar ``rng.uniform`` call."""
+    arr = rng.uniform(-1.0, 1.0, size=(dim,) * order)
+    rows = arr.reshape(dim, -1)
+    diag_pos = _diag_flat_positions(order, dim)
+    scale = float(dim ** (order - 1))
+    for i in range(dim):
+        rows[i, diag_pos[i]] = 0.0
+        off_sum = rows[i].sum()
+        margin = rng.uniform(0.01, 1.0)
+        off_max = max(0.0, rows[i].max())
+        rows[i, diag_pos[i]] = scale * (off_max + margin) - off_sum
+    return Tensor(arr)

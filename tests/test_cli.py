@@ -543,6 +543,14 @@ class TestGenCommand:
         dump_tensor(load_tensor(path), reparsed)
         assert path.read_bytes() == reparsed.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["B", "B0", "random", "diagonal"])
+    @pytest.mark.parametrize("m,n", [(1, 2), (3, 0)])
+    def test_shape_of_no_tensor_is_usage_error(self, capsys, kind, m, n):
+        # Order 1 once raised IndexError in the B generator, dim 0 a numpy reshape error.
+        code, out, err = run_cli(capsys, "gen", "--m", str(m), "--n", str(n), "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == f"error: a tensor needs order >= 2 and dim >= 1, got order {m}, dim {n}\n"
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BTENSOR_SEED", "31")
         _, via_env, _ = run_cli(capsys, "gen", "--m", "3", "--n", "2", "--kind", "B")
@@ -550,6 +558,49 @@ class TestGenCommand:
         _, via_flag, _ = run_cli(capsys, "gen", "--m", "3", "--n", "2", "--kind", "B",
                                  "--seed", "31")
         assert via_env == via_flag
+
+
+class TestSeedChecks:
+    """A seed from the flag or from the environment is checked before the command runs, whether
+    or not anything draws with it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", EX41, "--kind", "h"],
+            ["tcp", "solve", EX41, "--q", "[-1,-1,-1]"],  # its first start converges without a draw
+            ["bounds", EX41, "--op", "T"],  # nothing draws without --estimate
+        ],
+    )
+    def test_negative_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a non-negative integer, got -5\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_environment_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BTENSOR_SEED", value)
+        code, out, err = run_cli(capsys, "eigen", EX41, "--kind", "h", "--starts", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: BTENSOR_SEED must be a non-negative integer, got {value!r}\n"
+        # The flag, when given, is the seed, and the environment is not read.
+        assert run_cli(capsys, "eigen", EX41, "--kind", "h", "--starts", "4", "--seed", "0")[0] == 0
+
+
+class TestTolChecks:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tcp", "solve", EX41, "--q", "[-1,-1,-1]"],
+            ["tcp", "verify", EX41, "--q", "[-1,-1,-1]", "--x", "[1,1,1]"],
+            ["classify", EX41],
+        ],
+    )
+    def test_tol_not_finite_or_negative_is_usage_error(self, capsys, argv, tol):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"error: tol must be >= 0 and finite, got {float(tol)}\n"
 
 
 class TestVerifyPaperCommand:

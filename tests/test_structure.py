@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ from btensor.structure import _diag_flat_positions, require_membership
 from btensor.tensorio import dump_tensor
 
 from oracles import (
+    loop_random_b_tensor,
     naive_diag_flat_positions,
     naive_row_sums,
     naive_simplex_lattice,
@@ -74,6 +76,11 @@ class TestClassify:
         # A negative margin would loosen both definitions: the zero tensor would be strict.
         with pytest.raises(ValueError, match="tol must be >= 0"):
             classify(Tensor.zeros(3, 2), tol=tol)
+
+    def test_infinite_tol_rejected(self, ex41):
+        # An infinite margin meets no strict inequality: a strict member would read B0.
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classify(ex41, tol=math.inf)
 
     def test_negative_diagonal_breaks_membership(self):
         t = Tensor.diagonal_tensor(3, 3, [1.0, -1.0, 1.0])
@@ -410,6 +417,16 @@ class TestGenerators:
             b0 = random_b0_tensor(3, 3, rng)
             assert membership_diagnostics(b0, strict=False).all_hold()
             assert not semipositivity_certificate(b0, "weak", 8).violated
+
+    @pytest.mark.parametrize("order", range(2, 8))
+    def test_strict_generator_matches_per_row_loop(self, order):
+        # The array-built generator gives the loop's tensor and leaves the generator where the
+        # loop did, so later draws (random_b0_tensor's row) are the same too.
+        for dim, seed in itertools.product(range(1, 9), range(30)):
+            ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = loop_random_b_tensor(order, dim, loop).array
+            assert np.array_equal(random_b_tensor(order, dim, ours).array, expected), (dim, seed)
+            assert ours.random() == loop.random(), (dim, seed)
 
     def test_single_dimension_generators(self, rng):
         assert classify(random_b_tensor(3, 1, rng)).verdict == "B"

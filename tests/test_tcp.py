@@ -131,6 +131,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="starts must be >= 1"):
             tcp_solve(make_instance(ex41, [-1.0, -1.0, -1.0]), starts=starts)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tol_not_finite_or_negative_rejected(self, ex41, tol):
+        # NaN once ran every start, -1 reported residual 0 unconverged, inf converged at any point.
+        instance = make_instance(ex41, [-1.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            tcp_solve(instance, tol=tol)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            outcome_at(instance, [1.0, 1.0, 1.0], tol)
+
 
 class TestSolutionLowerBounds:
     def test_nonnegative_q_gives_zero_bounds(self, ex41):
