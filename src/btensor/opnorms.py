@@ -8,10 +8,9 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone.  One private closed form, ``scale * ||v ** r||_p``,
-gives every bound, and one private function the class bracket of both
-maps; :func:`closed_form_report` classifies a tensor once and gives that
-bracket at its own class as a :class:`NormBoundReport` with no estimate,
+as if it ran alone.  One private closed form, ``scale * ||v ** r||_p``, gives
+every bound; :func:`closed_form_report` classifies a tensor once and gives the
+class bracket at its own class as a :class:`NormBoundReport` with no estimate,
 and :func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
@@ -46,7 +45,7 @@ class SandwichViolation(ArithmeticError):
 
 
 def _checked_p(operator: str, p: float, order: Optional[int] = None) -> float:
-    """``p`` as a float, once the operator, then ``p >= 1`` or inf, then F's even order if given, pass."""
+    """``p`` as a float, once the operator, ``p >= 1`` or inf and F's even order (if given) pass, in turn."""
     if operator not in ("T", "F"):
         raise ValueError(f"operator must be 'T' or 'F', got {operator!r}")
     p = float(p)

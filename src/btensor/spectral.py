@@ -3,16 +3,17 @@
 Two real eigenpair kinds are handled.  An H-pair solves
 ``contract(A, x) = value * x**(m-1)`` componentwise; a Z-pair solves
 ``contract(A, x) = value * x * (x.x)**((m-2)/2)``.  The searches are seeded
-multistarts of one bordered Newton system, that equation with ``x.x = 1``
-(for Z on symmetric input, after a shifted power iteration), so they return
-a subset of the true pairs; bound verification is falsification style: every
-found pair must land inside the closed-form bounds from the diagonal alone.
-All starts of a search advance together as one stack, each exactly as it
-would alone; the power iteration keeps only its running starts packed.  The
-converged rows are then canonicalised together and their residuals taken in
-one stacked contraction; the pairs within ``ACCEPT_RESIDUAL`` are deduplicated
-and sorted.  Each kind has one stacked defect of its equation, which the
-Newton residual, this filter and :func:`h_residual`/:func:`z_residual` share.
+multistarts of :func:`core.damped_newton` on one bordered system, that
+equation with ``x.x = 1`` (for Z on symmetric input, after a shifted power
+iteration), so they return a subset of the true pairs; bound verification is
+falsification style: every found pair must land inside the closed-form bounds
+from the diagonal alone.  All starts of a search advance together as one
+stack, each exactly as it would alone; the power iteration keeps only its
+running starts packed.  The converged rows are then canonicalised together
+and their residuals taken in one stacked contraction; the pairs within
+``ACCEPT_RESIDUAL`` are deduplicated and sorted.  Each kind has one stacked
+defect of its equation, which the Newton residual, this filter and
+:func:`h_residual`/:func:`z_residual` share.
 """
 from __future__ import annotations
 

@@ -337,9 +337,8 @@ def random_b_tensor(order: int, dim: int, rng: np.random.Generator) -> Tensor:
     arr = rng.uniform(-1.0, 1.0, size=(dim,) * order)
     rows = arr.reshape(dim, -1)
     diag = (np.arange(dim), _diag_flat_positions(order, dim))
-    rows[diag] = 0.0
+    rows[diag] = 0.0  # so that a row's max is its beta, max(0, largest off-diagonal entry)
     margin = rng.uniform(0.01, 1.0, dim)
-    # With its diagonal entry zeroed, a row's max is its beta, max(0, largest off-diagonal entry).
     rows[diag] = float(dim ** (order - 1)) * (rows.max(axis=1) + margin) - rows.sum(axis=1)
     return Tensor(arr)
 
