@@ -193,7 +193,7 @@ def _bordered_newton(tensor: Tensor, defect, terms, x0: np.ndarray, values0: np.
         return jac
 
     z, _, merit = damped_newton(evaluate, jacobian, np.column_stack([x0, values0]), *NEWTON_LIMITS)
-    return z[merit <= NEWTON_LIMITS[1]]
+    return z[merit <= NEWTON_LIMITS[1]]  # the merit bounds |x.x - 1| / 2, so |x.x - 1| <= 2e-12
 
 
 def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 0) -> list[EigenPair]:
@@ -213,12 +213,11 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
 
     x0 = _unit_starts(seed, starts, n)
     powers = x0 ** (m - 1)
-    denom = _row_dot(powers, powers)
-    lam0 = np.zeros(starts)
-    np.divide(_row_dot(powers, contract_batch(tensor, x0)), denom, out=lam0, where=denom > 0)
+    # A unit start has max|x_i| >= 1/sqrt(n), so the denominator is at least n**-(m-1) > 0.
+    lam0 = _row_dot(powers, contract_batch(tensor, x0)) / _row_dot(powers, powers)
     z = _bordered_newton(tensor, _h_defect, terms, x0, lam0)
-    # Canonical vectors: max-norm 1 with the max-attaining component positive.
-    z = z[~(np.abs(z[:, :n]).max(axis=1) < 1e-12)]
+    # Canonical vectors: max-norm 1 with the max-attaining component positive.  As x.x >= 1 - 2e-12
+    # on a returned row, its max-norm is at least 0.99/sqrt(n).
     x = z[:, :n]
     x /= np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
     return _accepted_pairs("H", tensor, z, _h_defect)
@@ -247,13 +246,10 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     if is_entry_symmetric(tensor):
         x, values = _shifted_power_iteration(tensor, x, values)
     z = _bordered_newton(tensor, _z_defect, terms, x, _row_dot(x, values))
-    # Canonical vectors: unit 2-norm with the max-attaining component positive.  Flipping
-    # the sign keeps the value for even order and negates it for odd order.
-    norms = np.sqrt(_row_dot(z[:, :n], z[:, :n]))
-    keep = ~(norms < 1e-8)
-    z = z[keep]
+    # Canonical vectors: unit 2-norm (no row is near 0, as x.x >= 1 - 2e-12) with the max-attaining
+    # component positive.  Flipping the sign keeps the value at even order, negates it at odd.
     x, mu = z[:, :n], z[:, n]
-    x /= norms[keep, None]
+    x /= np.sqrt(_row_dot(x, x))[:, None]
     flip = np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)[:, 0] < 0
     np.negative(x, out=x, where=flip[:, None])
     if m % 2:
