@@ -51,6 +51,8 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"vector is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("vector is nested too deeply to decode") from None
     try:
         vec = np.asarray(values, dtype=float)
     except (TypeError, OverflowError) as exc:
@@ -402,6 +404,7 @@ def main(argv=None) -> int:
             args.seed = _default_seed(args.seed)
         code, payload = args.func(args)
         sys.stdout.flush()
+        _write_manifest(args, payload, started)
     except BrokenPipeError:
         # The reader closed stdout early; as Python's signal docs advise, point it at devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -416,7 +419,6 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, payload, started)
     return code
 
 

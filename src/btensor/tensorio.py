@@ -173,6 +173,8 @@ def loads_tensor(text: str) -> Tensor:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TensorFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise TensorFormatError("JSON is nested too deeply to decode") from None
     return tensor_from_obj(obj)
 
 

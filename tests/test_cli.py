@@ -137,7 +137,8 @@ class TestBoundsCommand:
         )
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header.startswith("operator,norm,")
+        # The report's fields in their order, less the witness vector.
+        assert header == "operator,norm,variant,strict,general_upper,b_lower,b_upper,empirical_estimate"
         cells = row.split(",")
         assert cells[0] == "T"
         assert abs(float(cells[6]) - 48.0) <= 1e-9
@@ -257,6 +258,19 @@ class TestEigenCommand:
         assert code == 0
         assert "Traceback" not in err
         assert all(p["residual"] <= 1e-8 for p in json.loads(out)["pairs"])
+
+    def test_pair_outside_the_bound_is_verification_failure(self, capsys, monkeypatch):
+        # No pair the search finds on a member breaks its bound, so the search is replaced by
+        # one that returns an H-pair far beyond ex41's bound of about 152.6.
+        from btensor import spectral
+
+        outside = spectral.EigenPair(kind="H", value=1000.0, vector=np.eye(3)[0], residual=0.0)
+        monkeypatch.setattr(spectral, "find_h_eigenpairs", lambda *args, **kwargs: [outside])
+        code, out, err = run_cli(capsys, "eigen", EX41, "--kind", "h", "--verify-bounds")
+        assert code == 1
+        report = json.loads(out)["bound_report"]
+        assert report["max_abs_h"] == 1000.0 and not report["all_within"]
+        assert err == "found 1 h-pairs\n"
 
     def test_z_kind(self, capsys):
         code, out, _ = run_cli(capsys, "eigen", EX42, "--kind", "z", "--starts", "6", "--seed", "2")
@@ -482,6 +496,35 @@ class TestSizeLimit:
         assert err == "error: order 65 is over numpy's limit of 64 axes\n"
 
 
+class TestDeepNesting:
+    """JSON nested past the decoder's recursion limit is an input error, not a traceback."""
+
+    DEEP = "[" * 100_000
+
+    @pytest.mark.parametrize("text", [DEEP, '{"order": 4, "dim": 3, "entries": ' + DEEP + "}"], ids=["top", "entries"])
+    def test_tensor_file(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: JSON is nested too deeply to decode\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tcp", "solve", EX41, "--q", DEEP],
+            ["tcp", "bounds", EX41, "--q", DEEP],
+            ["tcp", "verify", EX41, "--q", DEEP, "--x", "[1,1,1]"],
+            ["tcp", "verify", EX41, "--q", "[-1,-1,-1]", "--x", DEEP],
+        ],
+        ids=["solve-q", "bounds-q", "verify-q", "verify-x"],
+    )
+    def test_vector_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: vector is nested too deeply to decode\n"
+
+
 class TestClosedStdout:
     """A reader that closes stdout before the report is written gets exit 1 and no error line."""
 
@@ -622,6 +665,20 @@ class TestVerifyPaperCommand:
         assert manifest["payload"]["verdict"] == "B"
         assert len(manifest["input_hashes"]) == 1
         assert "wall_clock_ms" in manifest
+
+
+class TestManifestErrors:
+    """A manifest that cannot be written is an input error naming its path, after the report."""
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, where):
+        path = tmp_path / "absent" / "manifest.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, "--manifest", str(path), "classify", EX41)
+        assert code == 2
+        assert json.loads(out)["verdict"] == "B"
+        message, = err.splitlines()[1:]  # the first line is the verdict note
+        assert message.startswith("error: ") and message.endswith(f"{str(path)!r}")
+        assert "Traceback" not in err
 
 
 class TestSubprocessDeterminism:

@@ -85,6 +85,11 @@ class TestTensorType:
         assert list(t.diagonal) == [1.0, 1.0]
         assert t.entries.sum() == 2.0
 
+    @pytest.mark.parametrize("order,dim", [(1, 2), (0, 2), (3, 0)])
+    def test_diagonal_tensor_needs_a_shape(self, order, dim):
+        with pytest.raises(ValueError, match="need order >= 2 and dim >= 1"):
+            Tensor.diagonal_tensor(order, dim)
+
     def test_symmetry_check(self, ex41):
         assert is_entry_symmetric(ex41)
         lopsided = Tensor.from_flat(2, 2, [0.0, 1.0, 2.0, 3.0])
@@ -149,6 +154,12 @@ class TestContract:
     def test_dimension_mismatch(self, ex41):
         with pytest.raises(DimensionMismatch):
             contract(ex41, np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_batch_shape_mismatch(self, ex41, shape):
+        with pytest.raises(DimensionMismatch) as raised:
+            contract_batch(ex41, np.ones(shape))
+        assert str(raised.value) == f"expected shape (k, 3), got {shape}"
 
     @pytest.mark.parametrize("order,dim", [(2, 5), (3, 4), (4, 3), (5, 2)])
     def test_triple_check_against_oracle(self, order, dim, rng):
@@ -403,6 +414,11 @@ class TestVectorNorm:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             vector_norm([1.0], 0.5)
+
+    @pytest.mark.parametrize("x", [1.0, [[1.0, 2.0]], np.ones((2, 2))])
+    def test_non_vector_rejected(self, x):
+        with pytest.raises(ValueError, match="expected a vector, got shape"):
+            vector_norm(x)
 
     def test_nan_p_rejected(self):
         # NaN fails every comparison, so a plain p < 1 check let it through to a NaN norm.

@@ -6,6 +6,7 @@ import pytest
 
 from btensor import (
     ClassificationError,
+    SandwichViolation,
     Tensor,
     UnsupportedOrder,
     bound_report,
@@ -218,6 +219,14 @@ class TestBoundReport:
             report = closed_form_report(ex41, operator, 2.0)
         assert report.variant == "B"
         assert len(calls) == 1
+
+    def test_estimate_outside_the_bracket_is_a_sandwich_violation(self, ex41, monkeypatch):
+        # No true estimate leaves the bracket, so the ascent is replaced by one that overshoots it.
+        from btensor import opnorms
+
+        monkeypatch.setattr(opnorms, "estimate_norm", lambda *args, **kwargs: (60.0, np.ones(3)))
+        with pytest.raises(SandwichViolation, match=r"^estimate 60.0 outside \[.*, min\(57.0, 54.0\)\]$"):
+            bound_report(ex41, "T", INF, samples=4, ascent_steps=2)
 
     def test_estimate_rejects_negative_steps(self, ex41):
         with pytest.raises(ValueError, match="ascent_steps must be >= 0"):

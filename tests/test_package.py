@@ -118,6 +118,13 @@ def test_unknown_name_is_attribute_error():
     assert "no_such_name" in out
 
 
+def test_unknown_example_is_refused():
+    from btensor.datasets import example_path
+
+    with pytest.raises(ValueError, match=r"unknown example 'ex43', choose from \('ex41', 'ex42'\)"):
+        example_path("ex43")
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = {}
     for path in sorted(Path(SRC, "btensor").glob("*.py")):

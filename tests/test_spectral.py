@@ -321,6 +321,41 @@ class TestStackedFilter:
             assert abs(float(np.linalg.norm(pair.vector)) - 1.0) <= 1e-12
 
 
+class TestBorderedNewtonRows:
+    """Every row the bordered Newton returns lies on the sphere to within 2e-12, which is what
+    lets both searches canonicalise without a zero-vector filter."""
+
+    @given(
+        kind=st.sampled_from(["h", "z"]),
+        make=st.sampled_from([_general, _symmetric]),
+        seed=st.integers(0, 1000),
+        order=st.integers(2, 5),
+        dim=st.integers(1, 4),
+        starts=st.integers(1, 12),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_rows_lie_on_the_sphere(self, kind, make, seed, order, dim, starts):
+        rows = []
+        bordered = spectral._bordered_newton
+
+        def recorded(*args):
+            z = bordered(*args)
+            rows.append(z.copy())  # the search canonicalises z in place
+            return z
+
+        tensor = make(seed, order, dim)
+        search = find_h_eigenpairs if kind == "h" else find_z_eigenpairs
+        try:
+            spectral._bordered_newton = recorded
+            search(tensor, starts=starts, seed=seed)
+        finally:
+            spectral._bordered_newton = bordered
+        (z,) = rows
+        x = z[:, :dim]
+        # The merit bounds |x.x - 1| / 2 by 1e-12; both dot products round by under 1e-15 here.
+        assert np.all(np.abs(np.einsum("ij,ij->i", x, x) - 1.0) <= 2e-12 + 1e-15)
+
+
 def _offsets(tol):
     """Offsets at, just inside, just outside and well away from ``tol``, of either sign."""
     nudges = [lambda v: v, lambda v: np.nextafter(v, np.inf), lambda v: np.nextafter(v, -np.inf)]

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btensor import (
     ClassificationError,
@@ -427,6 +429,22 @@ class TestGenerators:
             expected = loop_random_b_tensor(order, dim, loop).array
             assert np.array_equal(random_b_tensor(order, dim, ours).array, expected), (dim, seed)
             assert ours.random() == loop.random(), (dim, seed)
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_generators_classify_as_labelled(self, data, seed):
+        # gen trusts this without re-classifying.  A B row's margin is at least 0.01, and the
+        # float error of its row sum over n**(m-1) at most about 4 * n**(m-1) * 2**-53, below 2**-27
+        # within the entry budget; the B0 tie row is dyadic, so its sum and quotient are exact.
+        order = data.draw(st.integers(2, 24), label="order")
+        dims = [dim for dim in range(1, 65) if dim**order <= 20_000]
+        dim = data.draw(st.sampled_from(dims), label="dim")
+        strict = classify(random_b_tensor(order, dim, np.random.default_rng(seed)))
+        assert strict.verdict == "B"
+        assert (strict.thresholds - strict.max_offdiag).min() > 0.005
+        tie = classify(random_b0_tensor(order, dim, np.random.default_rng(seed)))
+        assert tie.verdict == "B0"
+        assert (tie.thresholds - tie.max_offdiag).min() == (0.0 if dim > 1 else math.inf)
 
     def test_single_dimension_generators(self, rng):
         assert classify(random_b_tensor(3, 1, rng)).verdict == "B"

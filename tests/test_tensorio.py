@@ -62,6 +62,17 @@ def test_loads_reports_json_location():
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"order": 3, "dim": 2, "entries": ' + "[" * 100_000 + "}", "[" * 5000 + "]" * 5000],
+    ids=["open-lists", "under-entries", "balanced"],
+)
+def test_nesting_beyond_the_decoder_is_a_format_error(text):
+    # The decoder raised RecursionError on these, which escaped as a traceback.
+    with pytest.raises(TensorFormatError, match="^JSON is nested too deeply to decode$"):
+        loads_tensor(text)
+
+
+@pytest.mark.parametrize(
     "obj,message",
     [
         ({"dim": 2, "dense": [0.0] * 4}, "missing required key 'order'"),
@@ -76,6 +87,8 @@ def test_loads_reports_json_location():
         ({"order": 2, "dim": 2, "entries": [[1.0]]}, "expected"),
         ([1, 2], "must be an object"),
         ({"order": 3, "dim": 2, "entries": {}}, r"'entries' must be a list of \[index, value\] pairs"),
+        ({"order": 2, "dim": 2, "entries_default": "1", "entries": []}, "'entries_default' must be a number, got '1'"),
+        ({"order": 2, "dim": 2, "entries_default": True, "entries": []}, "'entries_default' must be a number, got T"),
     ],
 )
 def test_format_errors(obj, message):
