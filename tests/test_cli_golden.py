@@ -13,6 +13,7 @@ that keeps the output keeps every byte.  The file is the stdout of
 ``PYTHONPATH=src python tests/test_cli_golden.py``; regenerate it only for an
 intended change of CLI output.
 """
+import conftest  # noqa: F401  (first: it pins numpy's dispatch before numpy loads)
 import contextlib
 import io
 import json

@@ -11,6 +11,7 @@ long shifted power iterations, which the 16-start fixture of
 ``PYTHONPATH=src python tests/test_eigen_stack_golden.py``; regenerate it
 only for an intended change of solver arithmetic.
 """
+import conftest  # noqa: F401  (first: it pins numpy's dispatch before numpy loads)
 import json
 from pathlib import Path
 

@@ -11,6 +11,7 @@ A refactor that keeps the arithmetic keeps every bit.  The file is the
 stdout of ``PYTHONPATH=src python tests/test_estimate_golden.py``;
 regenerate it only for an intended change of the ascent's arithmetic.
 """
+import conftest  # noqa: F401  (first: it pins numpy's dispatch before numpy loads)
 import json
 import math
 from pathlib import Path

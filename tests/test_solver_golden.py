@@ -10,6 +10,7 @@ refactor that keeps the arithmetic keeps every bit.  The file is the stdout
 of ``PYTHONPATH=src python tests/test_solver_golden.py``; regenerate it only
 for an intended change of solver arithmetic.
 """
+import conftest  # noqa: F401  (first: it pins numpy's dispatch before numpy loads)
 import itertools
 import json
 from pathlib import Path
