@@ -2,8 +2,9 @@
 returns 0, 1 or 2 and raises nothing.
 
 The documents are dense and sparse tensors with entries up to 1e100 in magnitude, members
-of either class scaled by powers of ten up to 1e±100, malformed documents (wrong types, keys,
-sizes and non-finite tokens) and documents nested past the JSON decoder's recursion limit.
+of either class scaled by 10**k for k in -100..98 (their entries stay near or below 1e100),
+malformed documents (wrong types, keys, sizes and non-finite tokens) and documents nested
+past the JSON decoder's recursion limit.
 The argv covers every subcommand and its options, with ``--q``/``--x`` vectors drawn the same
 way and a ``--manifest`` that is absent, writable, in a missing directory or a directory.
 Magnitudes stay far below 1e300, where the closed forms and the solvers are known to overflow.
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from btensor import Tensor
 from btensor.cli import main
 from btensor.structure import random_b0_tensor, random_b_tensor
 from btensor.tensorio import dumps_tensor
@@ -56,7 +58,7 @@ def documents(draw):
     if form == "member":
         generate = draw(st.sampled_from([random_b_tensor, random_b0_tensor]))
         tensor = generate(order, dim, np.random.default_rng(draw(st.integers(0, 99))))
-        return dumps_tensor(type(tensor)(tensor.array * 10.0 ** draw(st.integers(-100, 98))))
+        return dumps_tensor(Tensor(tensor.array * 10.0 ** draw(st.integers(-100, 98))))
     if form == "malformed":
         doc = {"order": order, "dim": dim, "dense": [1.0] * dim**order}
         key = draw(st.sampled_from(["order", "dim", "dense", "entries", "entries_default"]))
@@ -66,6 +68,7 @@ def documents(draw):
 
 
 def vectors(dim):
+    """A JSON vector of length dim (two draws in five), of another length, or bad text."""
     good = st.lists(NUMBERS, min_size=dim, max_size=dim).map(json.dumps)
     return st.one_of(good, good, st.lists(NUMBERS, max_size=4).map(json.dumps), BAD_TEXT, st.just(DEEP))
 
