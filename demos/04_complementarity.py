@@ -10,6 +10,7 @@ negative part of q and the diagonal entries.
 import numpy as np
 
 from btensor import (
+    TcpInstance,
     Tensor,
     boundedness_probe,
     load_example,
@@ -17,7 +18,6 @@ from btensor import (
     tcp_solve,
     verify_solution_bounds,
 )
-from btensor.tcp import TcpInstance
 
 # Diagonal tensors decouple into scalar problems with a closed form.
 diag = Tensor.diagonal_tensor(4, 3)

@@ -1,10 +1,10 @@
 """Structured-tensor toolkit: classification, operator-norm and eigenvalue
 bounds, and tensor complementarity solving, all verifiable at desk scale.
 
-Every public name resolves on first use: ``import btensor`` loads no
-submodule, and reading ``btensor.classify`` (or ``btensor.structure``)
-imports its home module then.  A resolved name is kept in the package, so
-later reads are plain attribute lookups.
+``_EXPORTS`` is the one declaration of the public surface; no module keeps an
+``__all__``.  It drives lazy loading, ``dir(btensor)`` and ``import *``: each
+name resolves on first use, when its home module is imported, and is then
+kept in the package, so ``import btensor`` itself loads no submodule.
 """
 import importlib
 
@@ -26,6 +26,7 @@ _EXPORTS = {
     "NormBoundReport": ("opnorms", "NormBoundReport"),
     "SandwichViolation": ("opnorms", "SandwichViolation"),
     "bound_report": ("opnorms", "bound_report"),
+    "closed_form_report": ("opnorms", "closed_form_report"),
     "estimate_norm": ("opnorms", "estimate_norm"),
     "f_norm_bounds": ("opnorms", "f_norm_bounds"),
     "general_upper_bound": ("opnorms", "general_upper_bound"),
@@ -55,6 +56,7 @@ _EXPORTS = {
     "TcpInstance": ("tcp", "TcpInstance"),
     "TcpOutcome": ("tcp", "TcpOutcome"),
     "boundedness_probe": ("tcp", "boundedness_probe"),
+    "outcome_at": ("tcp", "outcome_at"),
     "tcp_residual": ("tcp", "residual"),
     "solution_lower_bounds": ("tcp", "solution_lower_bounds"),
     "tcp_solve": ("tcp", "solve"),

@@ -29,21 +29,9 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Report",
-    "Tensor",
-    "DimensionMismatch",
-    "UnsupportedOrder",
-    "contract",
-    "contract_batch",
-    "contraction_jacobian",
-    "damped_newton",
-    "vector_norm",
-    "scaled_map",
-    "root_map",
-    "is_entry_symmetric",
-]
-
+# The most entries a tensor file may hold, and the most floats a stack of starts or samples
+# may hold: counts times dim.
+ENTRY_LIMIT = 2**24
 # contract_batch takes as many rows at a time as keep its first intermediate
 # (rows * n**(m-1) floats) within this cap, and at least one.
 _BATCH_FLOATS = 1 << 16
@@ -170,6 +158,15 @@ def _as_rows(tensor: Tensor, x) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != tensor.dim:
         raise DimensionMismatch(f"expected shape (k, {tensor.dim}), got {v.shape}")
     return v
+
+
+def check_count(name: str, count: int, dim: int) -> None:
+    """Raise ValueError for a count of starts or samples below 1, or one whose rows of length
+    dim hold more than ``ENTRY_LIMIT`` floats; callers check before they allocate the rows."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count > ENTRY_LIMIT // dim:
+        raise ValueError(f"{name} {count} at dim {dim} is over the limit of {ENTRY_LIMIT} entries")
 
 
 def contract(tensor: Tensor, x) -> np.ndarray:

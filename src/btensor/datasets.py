@@ -13,8 +13,6 @@ from importlib import resources
 from .core import Tensor
 from .tensorio import loads_tensor
 
-__all__ = ["EXAMPLE_NAMES", "example_path", "load_example"]
-
 EXAMPLE_NAMES = ("ex41", "ex42")
 
 

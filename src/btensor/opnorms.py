@@ -21,19 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Report, Tensor, UnsupportedOrder, root_map, scaled_map
+from .core import Report, Tensor, UnsupportedOrder, check_count, root_map, scaled_map
 from .structure import require_membership
-
-__all__ = [
-    "NormBoundReport",
-    "SandwichViolation",
-    "general_upper_bound",
-    "t_norm_bounds",
-    "f_norm_bounds",
-    "closed_form_report",
-    "estimate_norm",
-    "bound_report",
-]
 
 SANDWICH_SLACK = 1e-9
 
@@ -161,8 +150,7 @@ def estimate_norm(
     """
     p = _checked_p(operator, p)
     apply_map = _MAPS[operator]
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_count("samples", samples, tensor.dim)
     if ascent_steps < 0:
         raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
     n = tensor.dim

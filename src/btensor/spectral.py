@@ -25,23 +25,13 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
+    check_count,
     contract_batch,
     contraction_jacobian,
     damped_newton,
     is_entry_symmetric,
 )
 from .structure import require_membership
-
-__all__ = [
-    "EigenPair",
-    "EigenBoundReport",
-    "eigenvalue_bounds",
-    "find_h_eigenpairs",
-    "find_z_eigenpairs",
-    "h_residual",
-    "z_residual",
-    "verify_eigen_bounds",
-]
 
 ACCEPT_RESIDUAL = 1e-8
 VALUE_DEDUP_TOL = 1e-6
@@ -163,8 +153,7 @@ def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def _unit_starts(seed: int, starts: int, n: int) -> np.ndarray:
     """``starts`` standard normal draws of length n in draw order, each scaled to unit 2-norm."""
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
+    check_count("starts", starts, n)
     x = np.random.default_rng(seed).standard_normal((starts, n))
     x /= np.sqrt(_row_dot(x, x))[:, None]
     return x

@@ -21,24 +21,6 @@ import numpy as np
 
 from .core import _BATCH_FLOATS, Report, Tensor, contract_batch
 
-__all__ = [
-    "RowProfile",
-    "Witness",
-    "ClassificationReport",
-    "DominanceDiagnostics",
-    "SemiPositivityCertificate",
-    "GridTooLarge",
-    "ClassificationError",
-    "row_profile",
-    "classify",
-    "membership_diagnostics",
-    "semipositivity_certificate",
-    "simplex_lattice",
-    "random_b_tensor",
-    "random_b0_tensor",
-    "random_tensor",
-]
-
 GRID_POINT_LIMIT = 1_000_000
 # The semi-positivity filter runs only when scoring the whole lattice would take more kernel
 # floats (points * n**(m-1)) than this; below it the kernel alone was as fast or faster.

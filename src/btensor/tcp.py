@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
+    check_count,
     contract,
     contract_batch,
     contraction_jacobian,
@@ -32,18 +33,6 @@ from .core import (
     vector_norm,
 )
 from .structure import _check_tol, require_membership
-
-__all__ = [
-    "TcpInstance",
-    "TcpOutcome",
-    "SolutionBoundCertificate",
-    "residual",
-    "outcome_at",
-    "solve",
-    "solution_lower_bounds",
-    "verify_solution_bounds",
-    "boundedness_probe",
-]
 
 logger = logging.getLogger(__name__)
 
@@ -184,8 +173,7 @@ def solve(
     ties broken by lexicographically smallest x).  Non-convergence is
     reported, not raised; ``tol`` must be finite and >= 0.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
+    check_count("starts", starts, instance.tensor.dim)
     _check_tol(tol)
     tensor, q = instance.tensor, instance.q
     base = np.maximum(-q, 0.0) ** (1.0 / (tensor.order - 1))
@@ -288,8 +276,7 @@ def boundedness_probe(tensor: Tensor, q, starts: int = 8, seed: int = 0) -> bool
     pass first, and reports True when every solution within ``DEFAULT_TOL`` stays
     within 10x the smallest radius at which the solution set stops changing.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
+    check_count("starts", starts, tensor.dim)
     require_membership(tensor, "B")
     instance = TcpInstance(tensor, q)
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ Two on-disk forms are accepted:
 
 Every entry must be a finite JSON number: NaN, infinities, integers beyond
 the float range, strings and booleans are rejected, and so is a size over
-``ENTRY_LIMIT`` entries, before anything is allocated.
+``core.ENTRY_LIMIT`` entries, before anything is allocated.
 
 Serialization always emits the dense form with a fixed key order, so a
 parse/serialize round trip of a file written here is byte identical.
@@ -25,21 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Tensor
-
-__all__ = [
-    "TensorFormatError",
-    "check_entry_budget",
-    "tensor_from_obj",
-    "tensor_to_obj",
-    "loads_tensor",
-    "dumps_tensor",
-    "load_tensor",
-    "dump_tensor",
-]
-
-
-ENTRY_LIMIT = 2**24
+from .core import ENTRY_LIMIT, Tensor
 
 
 class TensorFormatError(ValueError):

@@ -487,6 +487,25 @@ class TestSizeLimit:
         assert not run.stdout
         assert run.stderr == "error: order 40, dim 2 is 1099511627776 entries, over the limit of 16777216\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", EX41, "--kind", "h", "--starts", "1000000000000000"],
+            ["eigen", EX41, "--kind", "z", "--starts", "1000000000000000"],
+            ["bounds", EX41, "--op", "T", "--estimate", "--samples", "1000000000000000"],
+            # The first start alone converges on this instance; the count is refused before it runs.
+            ["tcp", "solve", EX41, "--q", "[-1,-1,-1]", "--starts", "1000000000000000"],
+        ],
+        ids=["eigen-h", "eigen-z", "bounds", "tcp-solve"],
+    )
+    def test_count_over_the_budget_is_usage_error(self, argv):
+        # Drawing these starts or samples asked numpy for 21.3 PiB and printed its MemoryError traceback.
+        run = TestNonFiniteReport.run_module(*argv)
+        assert run.returncode == 2
+        assert not run.stdout
+        name = "samples" if argv[0] == "bounds" else "starts"
+        assert run.stderr == f"error: {name} 1000000000000000 at dim 3 is over the limit of 16777216 entries\n"
+
     def test_order_over_the_axis_limit_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"order": 65, "dim": 1, "entries": []}')

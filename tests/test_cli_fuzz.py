@@ -7,6 +7,8 @@ malformed documents (wrong types, keys, sizes and non-finite tokens) and documen
 past the JSON decoder's recursion limit.
 The argv covers every subcommand and its options, with ``--q``/``--x`` vectors drawn the same
 way and a ``--manifest`` that is absent, writable, in a missing directory or a directory.
+Start and sample counts are small, or over the entry cap at any dim (refused before anything
+is drawn), never in between, where they would run real work.
 Magnitudes stay far below 1e300, where the closed forms and the solvers are known to overflow.
 """
 import contextlib
@@ -73,6 +75,8 @@ def vectors(dim):
     return st.one_of(good, good, st.lists(NUMBERS, max_size=4).map(json.dumps), BAD_TEXT, st.just(DEEP))
 
 
+# Counts over core.ENTRY_LIMIT (2**24) at dim 1, so over it at every dim.
+OVER_CAP = st.integers(2**24 + 1, 10**18)
 TOLS = st.sampled_from(["0", "1e-9", "0.5", "-1", "nan", "inf"])
 
 
@@ -93,18 +97,19 @@ def commands(draw):
         p = draw(st.sampled_from(["inf", "1", "1.5", "2", "3", "0.5", "nan"]))
         argv += ["--norm", "inf"] if p == "inf" else ["--norm", "p", "--p", p]
         if draw(st.booleans()):
-            samples, steps = draw(st.integers(1, 8)), draw(st.integers(-1, 3))
+            samples, steps = draw(st.one_of(st.integers(1, 8), OVER_CAP)), draw(st.integers(-1, 3))
             argv += ["--estimate", "--samples", str(samples), "--steps", str(steps)]
         return argv + seed
     if command == "eigen":
-        argv = ["eigen", file, "--kind", draw(st.sampled_from("hz")), "--starts", str(draw(st.integers(-1, 6)))]
+        starts = draw(st.one_of(st.integers(-1, 6), OVER_CAP))
+        argv = ["eigen", file, "--kind", draw(st.sampled_from("hz")), "--starts", str(starts)]
         return argv + (["--verify-bounds"] if draw(st.booleans()) else []) + seed
     if command == "tcp":
         sub = draw(st.sampled_from(["solve", "bounds", "verify"]))
         dim = draw(st.integers(1, 3))
         argv = ["tcp", sub, file, "--q", draw(vectors(dim))]
         if sub == "solve":
-            argv += ["--starts", str(draw(st.integers(1, 4)))] + seed
+            argv += ["--starts", str(draw(st.one_of(st.integers(1, 4), OVER_CAP)))] + seed
         if sub != "bounds":
             argv += ["--tol", draw(TOLS)]
         if sub == "verify":
@@ -138,6 +143,8 @@ def run(text, manifest, argv):
          argv=["tcp", "verify", "WORKDIR/tensor.json", "--q", "[-1,-1,-1]", "--x", DEEP])
 @example(text="{}", manifest="absent/manifest.json", argv=["verify-paper"])
 @example(text="{}", manifest=".", argv=["gen", "--m", "3", "--n", "2"])
+@example(text=dumps_tensor(random_b_tensor(4, 3, np.random.default_rng(0))), manifest=None,
+         argv=["eigen", "WORKDIR/tensor.json", "--kind", "h", "--starts", str(10**15)])
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_main_exits_0_1_or_2_and_never_raises(text, manifest, argv):
     code, out, err, written = run(text, manifest, argv)

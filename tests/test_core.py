@@ -24,7 +24,7 @@ from btensor import (
     vector_norm,
 )
 from btensor import core
-from btensor.core import _BATCH_FLOATS, Report, damped_newton
+from btensor.core import _BATCH_FLOATS, ENTRY_LIMIT, Report, check_count, damped_newton
 from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
 from oracles import broadcast_jacobian, chain_contract, naive_contract, naive_is_symmetric
@@ -398,6 +398,21 @@ class TestDampedNewton:
         z, g, merit = damped_newton(evaluate, self.jacobian, np.zeros((0, 2)), *self.LIMITS)
         assert z.shape == g.shape == (0, 2) and merit.shape == (0,)
         assert calls == [0]  # no rounds on an empty stack
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("dim", [1, 3, 7, 2**24])
+    def test_cap_is_count_times_dim(self, dim):
+        # Only the arithmetic is checked: no start or sample is drawn here.
+        check_count("starts", ENTRY_LIMIT // dim, dim)
+        over = ENTRY_LIMIT // dim + 1
+        with pytest.raises(ValueError, match=f"starts {over} at dim {dim} is over the limit of 16777216 entries"):
+            check_count("starts", over, dim)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {count}"):
+            check_count("samples", count, 3)
 
 
 class TestVectorNorm:

@@ -1,5 +1,7 @@
-"""Each narrative script in ``demos/`` runs to completion with a clean stderr."""
+"""Each narrative script in ``demos/``, and the README's library tour, runs to completion with a
+clean stderr."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +21,28 @@ def test_every_demo_is_found():
     ]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs_clean(demo):
+def run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    run = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT, check=False, timeout=120
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=ROOT, check=False, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_clean(demo):
+    assert "from btensor." not in demo.read_text(encoding="utf-8")  # the package table only
+    run = run_python(str(demo))
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert run.stdout
+
+
+def test_readme_tour_runs_clean():
+    # The tour is the README's one python block; it imports every name it uses from btensor.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [tour] = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert "from btensor import *" in tour and "from btensor." not in tour
+    run = run_python("-c", tour)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""

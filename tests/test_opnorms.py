@@ -136,6 +136,8 @@ class TestEstimate:
     def test_sample_validation(self, ex41):
         with pytest.raises(ValueError):
             estimate_norm(ex41, "T", INF, samples=0)
+        with pytest.raises(ValueError, match="samples 1000000000000000 at dim 3 is over the limit"):
+            estimate_norm(ex41, "T", INF, samples=10**15)
 
     @pytest.mark.parametrize("p", [INF, 1.0, 2.0, 3.0])
     def test_zero_row_normalizes_to_first_coordinate(self, p):

@@ -16,20 +16,21 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Every public name of the package as it stood with eager imports.
+# Every public name of the package: those it had with eager imports, plus outcome_at and
+# closed_form_report, which the README tour and the CLI use beside tcp_solve and bound_report.
 EXPORTS = [
     "ClassificationError", "ClassificationReport", "DimensionMismatch", "DominanceDiagnostics",
     "EigenBoundReport", "EigenPair", "GridTooLarge", "NormBoundReport", "SandwichViolation",
     "SemiPositivityCertificate", "SolutionBoundCertificate", "TcpInstance", "TcpOutcome", "Tensor",
     "TensorFormatError", "UnsupportedOrder", "bound_report", "boundedness_probe", "classify",
-    "contract", "contract_batch", "contraction_jacobian", "dump_tensor", "dumps_tensor",
-    "eigenvalue_bounds", "estimate_norm", "f_norm_bounds", "find_h_eigenpairs", "find_z_eigenpairs",
-    "general_upper_bound", "h_residual", "is_entry_symmetric", "load_example",
-    "load_tensor", "loads_tensor", "membership_diagnostics", "random_b0_tensor", "random_b_tensor",
-    "random_tensor", "root_map", "row_profile", "scaled_map", "semipositivity_certificate",
-    "simplex_lattice", "solution_lower_bounds", "t_norm_bounds", "tcp_residual", "tcp_solve",
-    "tensor_from_obj", "tensor_to_obj", "vector_norm", "verify_eigen_bounds",
-    "verify_solution_bounds", "z_residual",
+    "closed_form_report", "contract", "contract_batch", "contraction_jacobian", "dump_tensor",
+    "dumps_tensor", "eigenvalue_bounds", "estimate_norm", "f_norm_bounds", "find_h_eigenpairs",
+    "find_z_eigenpairs", "general_upper_bound", "h_residual", "is_entry_symmetric", "load_example",
+    "load_tensor", "loads_tensor", "membership_diagnostics", "outcome_at", "random_b0_tensor",
+    "random_b_tensor", "random_tensor", "root_map", "row_profile", "scaled_map",
+    "semipositivity_certificate", "simplex_lattice", "solution_lower_bounds", "t_norm_bounds",
+    "tcp_residual", "tcp_solve", "tensor_from_obj", "tensor_to_obj", "vector_norm",
+    "verify_eigen_bounds", "verify_solution_bounds", "z_residual",
 ]
 SUBMODULES = ["cli", "core", "datasets", "opnorms", "spectral", "structure", "tcp", "tensorio"]
 
@@ -86,7 +87,8 @@ def test_every_export_resolves_to_its_home_object():
         "    homes[name] = [obj.__module__, getattr(home, obj.__name__) is obj, name in vars(btensor)]\n"
         "star = {}\n"
         "exec('from btensor import *', star)\n"
-        "print(json.dumps({'homes': homes, 'dir': dir(btensor), 'star': sorted(star), 'version': btensor.__version__}))\n"
+        "print(json.dumps({'homes': homes, 'all': btensor.__all__, 'dir': dir(btensor), 'star': sorted(star),\n"
+        "                  'version': btensor.__version__}))\n"
     )
     result = json.loads(out)
     for name in EXPORTS:
@@ -94,8 +96,9 @@ def test_every_export_resolves_to_its_home_object():
         assert module.startswith("btensor.") and module != "btensor.cli", name
         assert is_home_object and cached, name
     assert result["homes"]["tcp_solve"][0] == result["homes"]["tcp_residual"][0] == "btensor.tcp"
+    assert result["all"] == sorted(EXPORTS)
     assert set(EXPORTS) <= set(result["dir"])
-    assert set(EXPORTS) <= set(result["star"])
+    assert set(result["star"]) - {"__builtins__"} == set(EXPORTS)
     assert result["version"] == "0.1.0"
 
 
@@ -123,6 +126,18 @@ def test_unknown_example_is_refused():
 
     with pytest.raises(ValueError, match=r"unknown example 'ex43', choose from \('ex41', 'ex42'\)"):
         example_path("ex43")
+
+
+def test_the_package_table_is_the_only_public_surface():
+    # btensor._EXPORTS declares what is public; a module __all__ would be a second list to keep in step.
+    assigned = [
+        path.name
+        for path in sorted(Path(SRC, "btensor").glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert assigned == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

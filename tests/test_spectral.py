@@ -215,6 +215,12 @@ class TestFindZ:
         with pytest.raises(ValueError, match="starts must be >= 1"):
             search(ex41, starts=starts)
 
+    @pytest.mark.parametrize("search", [find_h_eigenpairs, find_z_eigenpairs])
+    def test_starts_over_the_entry_cap_rejected_before_drawing(self, ex41, search):
+        # 10**15 starts of dim 3 would ask numpy for 21.3 PiB.
+        with pytest.raises(ValueError, match="starts 1000000000000000 at dim 3 is over the limit"):
+            search(ex41, starts=10**15)
+
 
 class TestVerifyBounds:
     def test_empty_pair_list_is_vacuous(self, ex41):

@@ -131,6 +131,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="starts must be >= 1"):
             tcp_solve(make_instance(ex41, [-1.0, -1.0, -1.0]), starts=starts)
 
+    def test_starts_over_the_entry_cap_rejected_before_the_first_start(self, ex41):
+        # The first start alone converges here, yet the count is refused before it runs.
+        with pytest.raises(ValueError, match="starts 1000000000000000 at dim 3 is over the limit"):
+            tcp_solve(make_instance(ex41, [-1.0, -1.0, -1.0]), starts=10**15)
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_tol_not_finite_or_negative_rejected(self, ex41, tol):
         # NaN once ran every start, -1 reported residual 0 unconverged, inf converged at any point.
@@ -372,6 +377,10 @@ class TestScalingAndBoundedness:
     def test_probe_starts_below_one_rejected(self, ex41):
         with pytest.raises(ValueError, match="starts must be >= 1"):
             boundedness_probe(ex41, -np.ones(3), starts=0)
+
+    def test_probe_starts_over_the_entry_cap_rejected(self, ex41):
+        with pytest.raises(ValueError, match="starts 1000000000000000 at dim 3 is over the limit"):
+            boundedness_probe(ex41, -np.ones(3), starts=10**15)
 
     def test_probe_requires_strict_class(self):
         with pytest.raises(ClassificationError):
