@@ -302,7 +302,7 @@ def _paper_claims(seed: int):
     ok = outcome.converged
     detail = f"converged={outcome.converged}, residual={outcome.residual:.3e}"
     if ok:
-        certificate = verify_solution_bounds(ex41, q, outcome)
+        certificate = verify_solution_bounds(ex41, q, outcome, report41)
         ok = bool(certificate.holds)
         detail += f", bounds_hold={certificate.holds}"
     claim("ex41-tcp-lower-bounds", ok, detail)

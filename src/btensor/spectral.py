@@ -17,6 +17,7 @@ defect of its equation, which the Newton residual, this filter and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -246,18 +247,32 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     return _accepted_pairs("Z", tensor, z, _z_defect)
 
 
-def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray):
-    """SS-HOPM (Kolda & Mayo 2011) on a stack of unit starts whose contractions are ``values``.
+def _power_shift(tensor: Tensor) -> float:
+    """``1 + (m - 1) ||A||_F``, 1 for the zero tensor.  The norm is ``s sqrt(sum (a / s)**2)`` with
+    ``s = max |a|``, so no square overflows; a shift beyond the float range is inf."""
+    a = np.abs(tensor.entries)
+    s = float(a.max())
+    if not s:
+        return 1.0
+    a /= s
+    return 1.0 + (tensor.order - 1) * (s * math.sqrt(float(a @ a)))
 
-    The shift ``1 + sum |entries|`` forces monotone convergence.  Even-indexed
-    starts ascend and odd-indexed ones descend, so pairs at both ends of the
+
+def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray):
+    """SS-HOPM on a stack of unit starts whose contractions are ``values``.
+
+    The shift is ``alpha = 1 + (m - 1) ||A||_F`` (:func:`_power_shift`).  SS-HOPM is monotone for
+    ``alpha > beta(A) = (m - 1) max_{|x| = 1} rho(A x^(m-2))`` (Kolda & Mayo 2011, SIAM J. Matrix
+    Anal. Appl. 32(4), Thm 4.4), and ``rho(A x^(m-2)) <= ||A x^(m-2)||_F <= ||A||_F``, as the
+    (m-2)-fold outer product of a unit x has unit 2-norm; so the shift holds on every tensor.
+    Even-indexed starts ascend and odd-indexed ones descend, so pairs at both ends of the
     spectrum are reachable.  A start stops when its iterate update is zero or
     its value has moved by less than 1e-12 on five rounds in a row, and after
     10 000 rounds at most; one whose update or its norm is not finite is
     dropped.  Returns the iterates and their contractions of the kept starts,
     in start order.
     """
-    alpha = 1.0 + float(np.abs(tensor.entries).sum())
+    alpha = _power_shift(tensor)
     out_x, out_values = x.copy(), values.copy()
     kept = np.ones(len(x), dtype=bool)
     rows = np.arange(len(x))

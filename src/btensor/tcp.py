@@ -207,13 +207,14 @@ class SolutionBoundCertificate(Report):
     holds: Optional[bool] = None
 
 
-def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
+def solution_lower_bounds(tensor: Tensor, q, report=None) -> SolutionBoundCertificate:
     """Closed-form certificate for a strict-class tensor.
 
     Input too large for a bound in floating point raises ``ValueError`` naming the first such bound,
     with numpy's overflow warnings silenced, as the error says it (else the bound would read 0 or inf).
+    ``report`` as for :func:`require_membership`.
     """
-    require_membership(tensor, "B")
+    require_membership(tensor, "B", report)
     q = _checked_q(q, tensor.dim)
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
@@ -238,20 +239,20 @@ def solution_lower_bounds(tensor: Tensor, q) -> SolutionBoundCertificate:
     return SolutionBoundCertificate(q_plus_neg=neg, **bounds)
 
 
-def verify_solution_bounds(tensor: Tensor, q, outcome: TcpOutcome) -> SolutionBoundCertificate:
+def verify_solution_bounds(tensor: Tensor, q, outcome: TcpOutcome, report=None) -> SolutionBoundCertificate:
     """Check a converged nonzero solution against the certificate.
 
     The bounds are strict; at floating precision an exact tie is
     indistinguishable from strictness, so each comparison carries a
     ``NEAR_TIE_SLACK`` allowance and near ties are logged rather than
-    failed.
+    failed.  ``report`` as for :func:`require_membership`.
     """
     if not outcome.converged:
         raise ValueError("outcome did not converge; bounds apply to solutions only")
     x = np.asarray(outcome.x, dtype=float)
     if not x.any():
         raise ValueError("bounds apply to nonzero solutions; got x = 0")
-    certificate = solution_lower_bounds(tensor, q)
+    certificate = solution_lower_bounds(tensor, q, report)
     m = tensor.order
     checks = [
         ("inf", certificate.lb_inf, vector_norm(x, math.inf) ** (m - 1)),

@@ -27,6 +27,21 @@ def naive_contract(tensor, x):
     return out
 
 
+def naive_matrix_contract(tensor, xs) -> np.ndarray:
+    """``A x^(m-2)`` for each row x of a (k, n) stack: the (k, n, n) matrices whose (i, j) entry
+    sums ``a[i, j, l3, ..., lm] * x[l3] * ... * x[lm]`` over every index tuple, one tuple at a time."""
+    xs = np.asarray(xs, dtype=float)
+    m, n = tensor.order, tensor.dim
+    arr = tensor.array
+    out = np.zeros((len(xs), n, n))
+    for i, j, *rest in itertools.product(range(n), repeat=m):
+        term = np.full(len(xs), arr[(i, j, *rest)])
+        for l in rest:
+            term = term * xs[:, l]
+        out[:, i, j] += term
+    return out
+
+
 def chain_contract(tensor, x):
     """The single-vector chain of matrix-vector products, last index first: the reference
     that every ``contract_batch`` row must equal bit for bit."""

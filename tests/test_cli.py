@@ -674,6 +674,18 @@ class TestVerifyPaperCommand:
         assert len(payload["claims"]) >= 12
         assert err.count("PASS") == len(payload["claims"])
 
+    def test_tcp_claim_reuses_the_ex41_classification(self, capsys, monkeypatch):
+        from btensor import structure, tcp
+
+        reports, passed = [], []
+        classify, verify = structure.classify, tcp.verify_solution_bounds
+        monkeypatch.setattr(structure, "classify", lambda *a, **k: reports.append(classify(*a, **k)) or reports[-1])
+        monkeypatch.setattr(tcp, "verify_solution_bounds", lambda *a: passed.append(a[3:]) or verify(*a))
+        code, _, _ = run_cli(capsys, "verify-paper", "--seed", "7")
+        assert code == 0
+        # The claim's certificate gets the report of the first classification, that of ex41.
+        assert len(passed) == 1 and passed[0][0] is reports[0]
+
     def test_manifest_written(self, capsys, tmp_path):
         manifest_path = tmp_path / "manifest.json"
         code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from btensor import (
     ClassificationError,
     Tensor,
+    classify,
     eigenvalue_bounds,
     find_h_eigenpairs,
     find_z_eigenpairs,
     h_residual,
+    is_entry_symmetric,
     load_example,
     random_b_tensor,
     verify_eigen_bounds,
@@ -20,7 +23,7 @@ from btensor import (
 from btensor import core, spectral
 from btensor.core import contract
 
-from oracles import naive_contract, serial_dedup_and_sort
+from oracles import naive_contract, naive_matrix_contract, serial_dedup_and_sort
 from test_solver_golden import _general, _symmetric
 
 
@@ -201,8 +204,8 @@ class TestFindZ:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_power_iterate_stops_at_once(self, monkeypatch):
-        # The shift 1 + sum |entries| is inf, so every update is non-finite and its start is
-        # dropped after one round instead of running all 10 000 on NaN.
+        # The shift 1 + 2 ||A||_F = 1 + 2 sqrt(2) 1e308 is inf, so every update is non-finite and its
+        # start is dropped after one round instead of running all 10 000 on NaN.
         calls = []
         kernel = spectral.contract_batch
         monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
@@ -220,6 +223,77 @@ class TestFindZ:
         # 10**15 starts of dim 3 would ask numpy for 21.3 PiB.
         with pytest.raises(ValueError, match="starts 1000000000000000 at dim 3 is over the limit"):
             search(ex41, starts=10**15)
+
+
+
+def _symmetric_member(seed, order, dim):
+    """A symmetric strict-class member: off-diagonal entries uniform in [-1, 1), every index tuple
+    given the value at its sorted tuple, then each diagonal entry set so that its row's average is
+    0.5 above the row's positive off-diagonal cap.  A diagonal entry is its own only permutation,
+    so setting it keeps the symmetry."""
+    arr = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim,) * order)
+    for idx in itertools.product(range(dim), repeat=order):
+        arr[idx] = arr[tuple(sorted(idx))]
+    for i in range(dim):
+        arr[(i,) * order] = 0.0
+        arr[(i,) * order] = dim ** (order - 1) * (max(arr[i].max(), 0.0) + 0.5) - arr[i].sum()
+    return Tensor(arr)
+
+
+class TestPowerShift:
+    """The shifted power iteration's shift exceeds beta(A) = (m-1) max over the unit sphere of
+    rho(A x^(m-2)), above which Kolda & Mayo (2011, Thm 4.4) make SS-HOPM monotone.  beta is
+    sampled at 2000 seeded unit vectors, with A x^(m-2) contracted by the oracle's loops."""
+
+    @staticmethod
+    def sampled_beta(tensor):
+        x = np.random.default_rng(2000).standard_normal((2000, tensor.dim))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        return (tensor.order - 1) * float(np.abs(np.linalg.eigvalsh(naive_matrix_contract(tensor, x))).max())
+
+    @pytest.mark.parametrize("name", ["ex41", "ex42"])
+    def test_exceeds_sampled_beta_on_the_examples(self, name):
+        tensor = load_example(name)
+        assert spectral._power_shift(tensor) > self.sampled_beta(tensor)
+
+    @pytest.mark.parametrize("order, dim", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)])
+    def test_exceeds_sampled_beta_on_symmetric_members(self, order, dim):
+        tensor = _symmetric_member(10 * order + dim, order, dim)
+        assert is_entry_symmetric(tensor) and classify(tensor).verdict == "B"
+        assert spectral._power_shift(tensor) > self.sampled_beta(tensor)
+
+    @pytest.mark.parametrize("seed, order, dim", [(13, 3, 3), (14, 4, 3), (22, 4, 4)])
+    def test_exceeds_sampled_beta_on_mixed_sign_tensors(self, seed, order, dim):
+        tensor = _symmetric(seed, order, dim)
+        assert spectral._power_shift(tensor) > self.sampled_beta(tensor)
+
+    def test_dim2_member_where_the_entry_sum_falls_short(self):
+        # diag(10, 10) with 0.05 elsewhere: beta is about 3 * 10, above 1 + sum |entries| = 21.7.
+        arr = np.full((2,) * 4, 0.05)
+        arr[0, 0, 0, 0] = arr[1, 1, 1, 1] = 10.0
+        tensor = Tensor(arr)
+        assert classify(tensor).verdict == "B"
+        beta = self.sampled_beta(tensor)
+        assert 1.0 + float(np.abs(tensor.entries).sum()) < beta < spectral._power_shift(tensor)
+
+    def test_zero_tensor_shift_is_one(self):
+        assert spectral._power_shift(Tensor.zeros(4, 3)) == 1.0
+
+    def test_squares_of_large_entries_do_not_overflow(self):
+        # 1e300**2 is inf, yet ||A||_F = sqrt(2) 1e300; a shift past the float range is inf, silently.
+        shift = spectral._power_shift(Tensor.diagonal_tensor(3, 2, [1e300, -1e300]))
+        assert shift == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-15)
+        assert math.isinf(spectral._power_shift(Tensor.diagonal_tensor(3, 2, [1e308, 1e308])))
+
+    @pytest.mark.parametrize("name, limit", [("ex41", 600), ("ex42", 2000)])
+    def test_z_search_contraction_calls(self, monkeypatch, name, limit):
+        # The solver does less work, not a faster kernel: with the shift 1 + sum |entries| this
+        # search made 1166 (ex41) and 5311 (ex42) calls; with 1 + (m-1) ||A||_F, 430 and 1091.
+        calls = []
+        kernel = spectral.contract_batch
+        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
+        assert find_z_eigenpairs(load_example(name), starts=64, seed=0)
+        assert len(calls) <= limit
 
 
 class TestVerifyBounds:

@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from btensor import (
     tcp_solve,
     verify_solution_bounds,
 )
-from btensor import core, tcp
+from btensor import core, structure, tcp
 from btensor.tcp import (
     DEFAULT_TOL,
     PROBE_RADII,
@@ -230,6 +231,23 @@ class TestVerifySolutionBounds:
         assert [record.getMessage() for record in caplog.records] == [
             f"near tie on the inf-norm bound: {lb_inf!r} vs {attained!r}"
         ]
+
+    def test_callers_report_spares_the_classification(self, ex41, monkeypatch):
+        q = -np.ones(3)
+        outcome = tcp_solve(make_instance(ex41, q))
+        report = structure.classify(ex41)
+        calls = []
+        classify = structure.classify
+        monkeypatch.setattr(structure, "classify", lambda *a, **k: calls.append(1) or classify(*a, **k))
+        certificate = verify_solution_bounds(ex41, q, outcome, report)
+        assert solution_lower_bounds(ex41, q, report).to_dict() == {**certificate.to_dict(), "holds": None}
+        assert not calls
+        assert verify_solution_bounds(ex41, q, outcome).to_dict() == certificate.to_dict()
+        assert len(calls) == 1
+        # The report decides membership: one that says Neither is refused without classifying.
+        with pytest.raises(ClassificationError):
+            verify_solution_bounds(ex41, q, outcome, replace(report, verdict="Neither"))
+        assert len(calls) == 1
 
     def test_unconverged_outcome_rejected(self, ex41):
         bad = TcpOutcome(
