@@ -254,12 +254,12 @@ def _paper_claims(seed: int):
     beta_ok = bool(np.array_equal(report41.beta, np.array([2.0, 2.0, 2.0])))
     claim("ex41-offdiag-caps", beta_ok, f"beta={report41.beta.tolist()}")
 
-    t41 = closed_form_report(ex41, "T", math.inf)
+    t41 = closed_form_report(ex41, "T", math.inf, report41)
     lower41, upper41, general41 = t41.b_lower, t41.b_upper, t41.general_upper
     ok = abs(upper41 - 54.0) <= GOLDEN_TOL and abs(general41 - 57.0) <= GOLDEN_TOL and upper41 < general41
     claim("ex41-T-inf-upper-tighter", ok, f"b_upper={upper41}, general={general41}")
 
-    f41 = closed_form_report(ex41, "F", 1.0)
+    f41 = closed_form_report(ex41, "F", 1.0, report41)
     claim(
         "ex41-F-1-upper-tighter",
         f41.b_upper < f41.general_upper,
@@ -277,7 +277,7 @@ def _paper_claims(seed: int):
     claim("ex42-row-sums", err <= GOLDEN_TOL, f"max_err={err:.3e}")
 
     for p in (1.0, 2.0, 4.0):
-        t42 = closed_form_report(ex42, "T", p)
+        t42 = closed_form_report(ex42, "T", p, report42)
         upper42, general42 = t42.b_upper, t42.general_upper
         floor = 64.0 * 4.0 ** (3.0 / p)
         ok = abs(upper42 - 48.0) <= GOLDEN_TOL and general42 >= floor - GOLDEN_TOL and upper42 < general42

@@ -263,7 +263,7 @@ def _shorter_lengths(min_step: float) -> np.ndarray:
     return column
 
 
-def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: float):
+def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: float, stall: int):
     """Newton steps with a halving line search on a (k, d) stack of starts.
 
     ``evaluate(z)`` takes a (j, d) stack and gives, row by row, the point it
@@ -273,14 +273,19 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     the (j, d, d) residual derivatives.  Every row steps as if it ran alone:
     it takes the first length 1, 1/2, ... above ``min_step`` that lowers its
     merit, and it stops at merit ``<= tol``, after ``max_iter`` steps, or when
-    no length does.  A round makes one ``jacobian`` call, one stacked solve
-    (per row, ``lstsq`` where ``solve`` finds the matrix singular, or a NaN
-    step, which stops the row, where that system is not finite) and one
-    ``evaluate`` at length 1 for the active rows.  The rows whose full step
-    failed then score their shorter lengths in order: each call takes the next
-    ``max(1, _TRIAL_POINTS // failing)`` lengths of each of the ``failing``
-    rows, and a row leaves after the call that holds its first helping
-    length.  Returns the last accepted ``(z, g, merit)`` stacks.
+    no length does.  With ``stall > 0`` it also stops after ``stall`` rounds
+    in a row whose accepted step lowered its squared merit by less than 0.1%,
+    ``1 - (new / old)**2 < 1e-3``: MINPACK's ``hybrd`` stops on ten such
+    rounds (``actred < 0.001``) as "not making good progress", ``info = 5``
+    (More, Garbow & Hillstrom 1980, User Guide for MINPACK-1, ANL-80-74).  At
+    ``stall = 0`` no round is counted.  A round makes one ``jacobian`` call,
+    one stacked solve (per row, ``lstsq`` where ``solve`` finds the matrix
+    singular, or a NaN step, which stops the row, where that system is not
+    finite) and one ``evaluate`` at length 1 for the active rows.  The rows
+    whose full step failed then score their shorter lengths in order: each
+    call takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of each
+    of the ``failing`` rows, and a row leaves after the call that holds its
+    first helping length.  Returns the last accepted ``(z, g, merit)`` stacks.
     """
     shorter = _shorter_lengths(min_step)
     state = evaluate(np.array(z0, dtype=float))
@@ -289,6 +294,8 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     # steps when even the full length is not above min_step.
     rows, live = np.arange(len(state[0])), state
     going = (state[2] > tol) & (min_step < 1.0)
+    # Each live row's count of slow rounds in a row, compacted with the live arrays.
+    slow = np.zeros(len(rows), dtype=int) if stall else None
     for _ in range(max_iter):
         moving = np.count_nonzero(going)
         if not moving:
@@ -297,6 +304,8 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
             for whole, part in zip(state, live):
                 whole[rows] = part
             rows, live = rows[going], [part[going] for part in live]
+            if stall:
+                slow = slow[going]
         zr, gr, mr = live[:3]
         jac = jacobian(zr, gr, *live[3:])
         try:
@@ -333,6 +342,10 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
                     into[failing] = part[failing]
         live = trial
         going = helped & (live[2] > tol)
+        if stall:
+            # A going row's old merit is above tol >= 0; a row that stops keeps its accepted arrays.
+            slow = np.where(1.0 - (live[2] / mr) ** 2 < 1e-3, slow + 1, 0)
+            going &= slow < stall
     for whole, part in zip(state, live):
         whole[rows] = part
     return state[:3]

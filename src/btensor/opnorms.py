@@ -9,9 +9,10 @@ be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
 as if it ran alone.  One private closed form, ``scale * ||v ** r||_p``, gives
-every bound; :func:`closed_form_report` classifies a tensor once and gives the
-class bracket at its own class as a :class:`NormBoundReport` with no estimate,
-and :func:`bound_report` adds the checked estimate to it.
+every bound; :func:`closed_form_report` classifies a tensor once, or takes the
+caller's classification, and gives the class bracket at its own class as a
+:class:`NormBoundReport` with no estimate, and :func:`bound_report` adds the
+checked estimate to it.
 """
 from __future__ import annotations
 
@@ -197,17 +198,18 @@ class NormBoundReport(Report):
         return payload | {"norm": "inf" if self.p == math.inf else self.p}
 
 
-def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf) -> NormBoundReport:
+def closed_form_report(tensor: Tensor, operator: str, p: float = math.inf, report=None) -> NormBoundReport:
     """The closed-form bracket of a member of either class, at its own class, with no estimate.
 
     The operator and ``p`` are checked first, then membership of at least
     the non-strict class; the classification's verdict is the report's
     variant.  Entries that overflow a closed form raise ``ValueError``
     naming the first bound that is not finite; numpy's overflow warnings
-    are silenced, as the error says it.
+    are silenced, as the error says it.  ``report`` as for
+    :func:`require_membership`.
     """
     p = _checked_p(operator, p)
-    membership = require_membership(tensor, "B0")
+    membership = require_membership(tensor, "B0", report)
     variant = membership.verdict  # "B" or "B0"
     with np.errstate(over="ignore"):
         general = general_upper_bound(tensor, operator, p)

@@ -106,7 +106,7 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
         np.copyto(jac, identity, where=(phi == x)[:, :, None])
         return jac
 
-    x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12)
+    x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12, 0)
     return x, res
 
 
@@ -135,7 +135,7 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
         return jac + (1.0 - x_r)[:, :, None] * identity
 
     fb_tol = tol * (2.0 - math.sqrt(2.0))
-    x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12)[0], 0.0)
+    x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12, 0)[0], 0.0)
     return x, np.maximum.reduce(np.abs(np.minimum(x, q + contract_batch(tensor, x))), axis=1)
 
 

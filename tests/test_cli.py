@@ -686,6 +686,17 @@ class TestVerifyPaperCommand:
         # The claim's certificate gets the report of the first classification, that of ex41.
         assert len(passed) == 1 and passed[0][0] is reports[0]
 
+    def test_each_tensor_is_classified_once(self, capsys, monkeypatch):
+        from btensor import structure
+
+        classified = []
+        classify = structure.classify
+        monkeypatch.setattr(structure, "classify", lambda t, *a, **k: classified.append(t) or classify(t, *a, **k))
+        code, _, _ = run_cli(capsys, "verify-paper", "--seed", "7")
+        assert code == 0
+        # ex41, then ex42, each once: the claims reuse their classification reports.
+        assert [t.dim for t in classified] == [3, 4]
+
     def test_manifest_written(self, capsys, tmp_path):
         manifest_path = tmp_path / "manifest.json"
         code, _, _ = run_cli(

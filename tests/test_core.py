@@ -293,7 +293,7 @@ class TestDampedNewton:
     Jacobian [[2 z0, 1], [0, 2 z1]] is singular.
     """
 
-    LIMITS = (40, 1e-12, 1e-10)
+    LIMITS = (40, 1e-12, 1e-10, 10)  # max_iter, tol, min_step, stall
     STARTS = np.array([
         [1.0, -1.0],  # a root: converged at z0
         [0.0, -2.0],  # singular Jacobian at every step: the lstsq fallback
@@ -321,16 +321,18 @@ class TestDampedNewton:
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 40])
     def test_stack_rows_equal_rows_run_alone(self, monkeypatch, max_iter, trial_points):
         # Each line-search call scores max(1, trial_points // failing) lengths of every failing row.
+        # Without the stall stop and with it: at 40 rounds it ends the singular row 1 early.
         monkeypatch.setattr(core, "_TRIAL_POINTS", trial_points)
         lstsq_calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or lstsq(*a, **k))
-        limits = (max_iter,) + self.LIMITS[1:]
-        z, g, merit = damped_newton(self.evaluate, self.jacobian, self.STARTS, *limits)
-        assert lstsq_calls
-        for k, start in enumerate(self.STARTS):
-            alone = damped_newton(self.evaluate, self.jacobian, start[None], *limits)
-            assert _hexes(z[k], g[k], merit[k]) == _hexes(*alone), k
+        for stall in (0, 10):
+            limits = (max_iter,) + self.LIMITS[1:3] + (stall,)
+            z, g, merit = damped_newton(self.evaluate, self.jacobian, self.STARTS, *limits)
+            assert lstsq_calls
+            for k, start in enumerate(self.STARTS):
+                alone = damped_newton(self.evaluate, self.jacobian, start[None], *limits)
+                assert _hexes(z[k], g[k], merit[k]) == _hexes(*alone), (stall, k)
 
     def test_row_outcomes(self):
         z, g, merit = damped_newton(self.evaluate, self.jacobian, self.STARTS, *self.LIMITS)
@@ -382,6 +384,49 @@ class TestDampedNewton:
         z, g, merit = damped_newton(evaluate, lambda z, g: np.ones((len(z), 1, 1)), np.zeros((1, 1)), *self.LIMITS)
         assert merit[0] == 1.0 and z[0, 0] == 0.0
         assert calls == [1, 1, 33]  # the start, length 1, then the 33 shorter lengths in one call
+
+    def test_stall_stops_a_plateau_of_a_rootless_residual(self):
+        # g(z) = 1 + sqrt|z| has its floor 1 at z = 0.  From z > 1 the first helping length, 1/2,
+        # maps z to -sqrt(z), so |z| falls to 1 and the merit to 2 with ever smaller gains, until
+        # rounding leaves |z| = 1 and the length 1/4 reaches the floor.
+        def evaluate(z):
+            g = 1.0 + np.sqrt(np.abs(z))
+            return z, g, g[:, 0]
+
+        def run(stall):
+            merits = []
+
+            def jacobian(z, g):
+                merits.append(g[0, 0])
+                with np.errstate(divide="ignore"):
+                    return (np.sign(z) / (2.0 * np.sqrt(np.abs(z))))[:, :, None]
+
+            merit = damped_newton(evaluate, jacobian, np.array([[3.0]]), 200, 1e-12, 1e-10, stall)[2]
+            return merits + [merit[0]]
+
+        plateau, floor = run(10), run(0)
+        assert floor[-1] < 1.0 + 1e-9 and len(floor) - 1 < 200
+        assert 2.0 < plateau[-1] < 2.0 + 1e-5 and len(plateau) - 1 < (len(floor) - 1) / 2
+        # Stopped on the rule: its last 10 accepted steps lowered the squared merit by under 0.1%,
+        # the one before them did not.
+        gains = [1.0 - (new / old) ** 2 for old, new in zip(plateau, plateau[1:])]
+        assert all(gain < 1e-3 for gain in gains[-10:]) and gains[-11] >= 1e-3
+
+    @pytest.mark.parametrize("factor, rounds", [(0.9994, 60), (0.9996, 10)])
+    def test_stall_counts_rounds_under_a_tenth_percent_of_squared_merit(self, factor, rounds):
+        # The Jacobian 1 / (1 - factor) takes g(z) = z to factor * z, so each round scales the
+        # merit by factor: a 0.06% fall lowers the squared merit by 0.12% and runs all 60 rounds;
+        # a 0.04% fall, by 0.08%, stops after 10.  The squared merit falls by 0.1% when the merit
+        # falls by 1 - sqrt(0.999), about 0.050013%.
+        calls = []
+
+        def jacobian(z, g):
+            calls.append(len(z))
+            return np.full((len(z), 1, 1), 1.0 / (1.0 - factor))
+
+        merit = damped_newton(lambda z: (z, z, np.abs(z[:, 0])), jacobian, np.array([[1.0]]), 60, 1e-12, 1e-10, 10)[2]
+        assert len(calls) == rounds
+        assert merit[0] == pytest.approx(factor**rounds, rel=1e-12)
 
     def test_input_stack_is_not_modified(self):
         starts = self.STARTS.copy()

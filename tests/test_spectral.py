@@ -110,7 +110,7 @@ class TestFindH:
         # the round's rows and Newton steps, from which its exact trial points zr + t * delta follow.
         calls = []
 
-        def spied(evaluate, jacobian, z0, *limits):
+        def spied(evaluate, jacobian, z0, max_iter, tol, min_step, stall):
             def logged_evaluate(z):
                 out = evaluate(z)
                 calls.append(("evaluate", z.copy(), out[2].copy()))
@@ -121,7 +121,7 @@ class TestFindH:
                 calls.append(("jacobian", z.copy(), _newton_steps(jac, g)))
                 return jac
 
-            return core.damped_newton(logged_evaluate, logged_jacobian, z0, *limits)
+            return core.damped_newton(logged_evaluate, logged_jacobian, z0, max_iter, tol, min_step, stall)
 
         monkeypatch.setattr(spectral, "damped_newton", spied)
         assert find_h_eigenpairs(random_b_tensor(4, 4, rng), starts=64, seed=3)
@@ -154,6 +154,18 @@ class TestFindH:
             assert not failing
             searched += len(scored)
         assert searched > 64
+
+    @pytest.mark.parametrize("name, limit, count", [("ex41", 90, 7), ("general4", 140, 8)])
+    def test_stall_stop_contraction_calls(self, monkeypatch, name, limit, count):
+        # The stall stop drops the rows that sit on a merit plateau: without it (stall 0) this
+        # search made 94 (ex41) and 229 (the golden's _general(21, 4, 4)) calls; with it, 72
+        # and 109, and the same number of pairs.
+        tensor = load_example(name) if name == "ex41" else _general(21, 4, 4)
+        calls = []
+        kernel = spectral.contract_batch
+        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
+        assert len(find_h_eigenpairs(tensor, starts=64, seed=0)) == count
+        assert len(calls) <= limit
 
 
 def _newton_steps(jac, g):
