@@ -35,6 +35,8 @@ ENTRY_LIMIT = 2**24
 # contract_batch takes as many rows at a time as keep its first intermediate
 # (rows * n**(m-1) floats) within this cap, and at least one.
 _BATCH_FLOATS = 1 << 16
+# damped_newton's stall stop counts a round slow whose step lowers the squared merit by less than this.
+_SLOW_GAIN = 1e-3
 # damped_newton's line search fills each evaluate call with up to this many
 # trial points: the next lengths of every row still failing, or one length each
 # when more rows fail, so a call holds no more points than this or the stack.
@@ -266,26 +268,25 @@ def _shorter_lengths(min_step: float) -> np.ndarray:
 def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: float, stall: int):
     """Newton steps with a halving line search on a (k, d) stack of starts.
 
-    ``evaluate(z)`` takes a (j, d) stack and gives, row by row, the point it
-    accepts (it may project it), the residual there and its merit, shaped
-    (j, d), (j, d) and (j,), then any row-aligned arrays for the Jacobian to
-    reuse; ``jacobian(z, g, *more)`` gets those of the accepted rows and gives
-    the (j, d, d) residual derivatives.  Every row steps as if it ran alone:
-    it takes the first length 1, 1/2, ... above ``min_step`` that lowers its
-    merit, and it stops at merit ``<= tol``, after ``max_iter`` steps, or when
-    no length does.  With ``stall > 0`` it also stops after ``stall`` rounds
-    in a row whose accepted step lowered its squared merit by less than 0.1%,
-    ``1 - (new / old)**2 < 1e-3``: MINPACK's ``hybrd`` stops on ten such
-    rounds (``actred < 0.001``) as "not making good progress", ``info = 5``
-    (More, Garbow & Hillstrom 1980, User Guide for MINPACK-1, ANL-80-74).  At
-    ``stall = 0`` no round is counted.  A round makes one ``jacobian`` call,
-    one stacked solve (per row, ``lstsq`` where ``solve`` finds the matrix
-    singular, or a NaN step, which stops the row, where that system is not
-    finite) and one ``evaluate`` at length 1 for the active rows.  The rows
-    whose full step failed then score their shorter lengths in order: each
-    call takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of each
-    of the ``failing`` rows, and a row leaves after the call that holds its
-    first helping length.  Returns the last accepted ``(z, g, merit)`` stacks.
+    ``evaluate(z)`` takes a (j, d) stack and gives, row by row, the point it accepts (it
+    may project it), the residual there and its merit, shaped (j, d), (j, d) and (j,),
+    then any row-aligned arrays for the Jacobian to reuse; ``jacobian(z, g, *more)`` gets
+    those of the accepted rows and gives the (j, d, d) residual derivatives.  Every row
+    steps as if it ran alone: it takes the first length 1, 1/2, ... above ``min_step``
+    that lowers its merit, and it stops at merit ``<= tol``, after ``max_iter`` steps, or
+    when no length does; an inf or NaN trial merit never does, so the rounds run without
+    numpy's overflow and invalid warnings.  With ``stall > 0`` it also stops after
+    ``stall`` rounds in a row whose accepted step lowered its squared merit by less than
+    0.1%, ``1 - (new / old)**2 < _SLOW_GAIN``: MINPACK's ``hybrd`` stops on ten such
+    rounds (``actred < 0.001``) as "not making good progress", ``info = 5`` (More, Garbow
+    & Hillstrom 1980, User Guide for MINPACK-1, ANL-80-74).  At ``stall = 0`` no round is
+    counted.  A round makes one ``jacobian`` call, one stacked solve (per row, ``lstsq``
+    where ``solve`` finds the matrix singular, or a NaN step, which stops the row, where
+    that system is not finite) and one ``evaluate`` at length 1 for the active rows.  The
+    rows whose full step failed then score their shorter lengths in order: each call
+    takes the next ``max(1, _TRIAL_POINTS // failing)`` lengths of each of the
+    ``failing`` rows, and a row leaves after the call that holds its first helping
+    length.  Returns the last accepted ``(z, g, merit)`` stacks.
     """
     shorter = _shorter_lengths(min_step)
     state = evaluate(np.array(z0, dtype=float))
@@ -296,56 +297,57 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     going = (state[2] > tol) & (min_step < 1.0)
     # Each live row's count of slow rounds in a row, compacted with the live arrays.
     slow = np.zeros(len(rows), dtype=int) if stall else None
-    for _ in range(max_iter):
-        moving = np.count_nonzero(going)
-        if not moving:
-            break
-        if moving < len(rows):
-            for whole, part in zip(state, live):
-                whole[rows] = part
-            rows, live = rows[going], [part[going] for part in live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            moving = np.count_nonzero(going)
+            if not moving:
+                break
+            if moving < len(rows):
+                for whole, part in zip(state, live):
+                    whole[rows] = part
+                rows, live = rows[going], [part[going] for part in live]
+                if stall:
+                    slow = slow[going]
+            zr, gr, mr = live[:3]
+            jac = jacobian(zr, gr, *live[3:])
+            try:
+                delta = np.linalg.solve(jac, -gr[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                delta = np.empty_like(gr)
+                for r in range(len(rows)):
+                    try:
+                        delta[r] = np.linalg.solve(jac[r], -gr[r])
+                    except np.linalg.LinAlgError:
+                        # lstsq never returns on a non-finite system; a NaN step stops the row.
+                        finite = np.isfinite(jac[r]).all() and np.isfinite(gr[r]).all()
+                        delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0] if finite else np.nan
+            trial = evaluate(zr + delta)
+            helped = trial[2] < mr
+            if np.count_nonzero(helped) < len(rows):
+                failing, at = (~helped).nonzero()[0], 0
+                while failing.size and at < len(shorter):
+                    lengths = shorter[at : at + max(1, _TRIAL_POINTS // len(failing))]
+                    at += len(lengths)
+                    points = zr[failing, None] + lengths * delta[failing, None]
+                    scored = evaluate(points.reshape(-1, zr.shape[1]))
+                    helps = scored[2].reshape(len(failing), -1) < mr[failing, None]
+                    found = helps.any(axis=1)
+                    pick = (helps.argmax(axis=1) + len(lengths) * np.arange(len(failing)))[found]
+                    hit = failing[found]
+                    for into, part in zip(trial, scored):
+                        into[hit] = part[pick]
+                    helped[hit] = True
+                    failing = failing[~found]
+                # A row that no length helps keeps its arrays and stops.
+                if failing.size:
+                    for into, part in zip(trial, live):
+                        into[failing] = part[failing]
+            live = trial
+            going = helped & (live[2] > tol)
             if stall:
-                slow = slow[going]
-        zr, gr, mr = live[:3]
-        jac = jacobian(zr, gr, *live[3:])
-        try:
-            delta = np.linalg.solve(jac, -gr[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.empty_like(gr)
-            for r in range(len(rows)):
-                try:
-                    delta[r] = np.linalg.solve(jac[r], -gr[r])
-                except np.linalg.LinAlgError:
-                    # lstsq never returns on a non-finite system; a NaN step stops the row.
-                    finite = np.isfinite(jac[r]).all() and np.isfinite(gr[r]).all()
-                    delta[r] = np.linalg.lstsq(jac[r], -gr[r], rcond=None)[0] if finite else np.nan
-        trial = evaluate(zr + delta)
-        helped = trial[2] < mr
-        if np.count_nonzero(helped) < len(rows):
-            failing, at = (~helped).nonzero()[0], 0
-            while failing.size and at < len(shorter):
-                lengths = shorter[at : at + max(1, _TRIAL_POINTS // len(failing))]
-                at += len(lengths)
-                points = zr[failing, None] + lengths * delta[failing, None]
-                scored = evaluate(points.reshape(-1, zr.shape[1]))
-                helps = scored[2].reshape(len(failing), -1) < mr[failing, None]
-                found = helps.any(axis=1)
-                pick = (helps.argmax(axis=1) + len(lengths) * np.arange(len(failing)))[found]
-                hit = failing[found]
-                for into, part in zip(trial, scored):
-                    into[hit] = part[pick]
-                helped[hit] = True
-                failing = failing[~found]
-            # A row that no length helps keeps its arrays and stops.
-            if failing.size:
-                for into, part in zip(trial, live):
-                    into[failing] = part[failing]
-        live = trial
-        going = helped & (live[2] > tol)
-        if stall:
-            # A going row's old merit is above tol >= 0; a row that stops keeps its accepted arrays.
-            slow = np.where(1.0 - (live[2] / mr) ** 2 < 1e-3, slow + 1, 0)
-            going &= slow < stall
+                # A going row's old merit is above tol >= 0; a row that stops keeps its accepted arrays.
+                slow = np.where(1.0 - (live[2] / mr) ** 2 < _SLOW_GAIN, slow + 1, 0)
+                going &= slow < stall
     for whole, part in zip(state, live):
         whole[rows] = part
     return state[:3]

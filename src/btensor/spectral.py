@@ -15,14 +15,13 @@ and their residuals taken in one stacked contraction; the pairs within
 defect of its equation, which the Newton residual, this filter and
 :func:`h_residual`/:func:`z_residual` share.
 
-The Newton runs use the stall stop of :func:`core.damped_newton`, the last
-of ``NEWTON_LIMITS``: about a third of an H search's starts sit on a merit
-plateau for tens of rounds and are then dropped.  Stopping a start after ten
-slow rounds in a row halves the contractions of some H searches (a general
-dim-4 member at 64 starts: 228 to 109), and over the benchmark's eigen pool
-at seeds 1-12 it lost 1 of 2714 H pairs and none of 10742 Z pairs.  The
-complementarity solver passes a stall of 0: its starts seldom stall, so the
-stop saved it no work and cost it the bookkeeping.
+The Newton runs stop a start early in two ways, the last two of
+``NEWTON_LIMITS``: its line search ends at 2^-11, where a step lowers the
+squared merit by under 0.1% to first order, and the stall stop of
+:func:`core.damped_newton` ends it after ten slow rounds in a row.  Over one
+pass of the benchmark's eigen pool the two cut the trial points from 499,788
+to 140,673; at seeds 1-12 they lose 3 of 2714 H and 2 of 10742 Z pairs.  The
+complementarity solver uses neither: its starts seldom stall.
 """
 from __future__ import annotations
 
@@ -47,9 +46,9 @@ ACCEPT_RESIDUAL = 1e-8
 VALUE_DEDUP_TOL = 1e-6
 VECTOR_DEDUP_TOL = 1e-4
 DEFAULT_STARTS = 64
-# max_iter, tol, min_step, stall of damped_newton.  A row the stall stop ends is dropped, as is
+# max_iter, tol, min_step, stall of damped_newton.  A row either early stop ends is dropped, as is
 # any row left above tol; the eigen rows that stall seldom converge later (module docstring).
-NEWTON_LIMITS = (80, 1e-12, 1e-10, 10)
+NEWTON_LIMITS = (80, 1e-12, 2.0**-12, 10)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
-"""What the eigen searches' stall stop costs in pairs.
+"""What the eigen searches' early stops cost in pairs.
 
     PYTHONPATH=src python tests/recall_sweep.py [--members N] [--bench-seeds A-B]
 
 Runs ``find_h_eigenpairs`` and ``find_z_eigenpairs`` at 64 starts twice on
 each tensor: once with ``spectral.NEWTON_LIMITS`` as shipped, and once with
-its last limit, ``stall``, set to 0, which turns the stall stop of
-``core.damped_newton`` off.  The tensors are ex41, ex42 and N seeded order-4
-strict members (default 24), of dims 2, 3 and 4 in turn, general and
-symmetric in turn; with ``--bench-seeds`` they are instead the items of the
-``eigen_search`` benchmark pool at those seeds, each with its own start seed.
+no early stop, ``UNSTOPPED``: ``min_step`` 1e-10, so the line search of
+``core.damped_newton`` halves down to 2^-33, and ``stall`` 0, which turns its
+stall stop off.  So it prices the shipped ``min_step`` and the stall stop
+together.  The tensors are ex41, ex42 and N seeded order-4 strict members
+(default 24), of dims 2, 3 and 4 in turn, general and symmetric in turn;
+with ``--bench-seeds`` they are instead the items of the ``eigen_search``
+benchmark pool at those seeds, each with its own start seed.
 
-A pair of the run without the stop is lost when no pair of the shipped run
-has its value within 1e-9 and its vector within 1e-6 in max-norm; a pair of
-the shipped run is gained when no pair of the other run matches it so.  A
-search whose pairs differ in any bit of a value, vector or residual
-differs.  One line is printed per search that loses, gains or differs,
-then one total per kind and one overall.  It only reports: the exit code
-is 0 whatever it finds.
+A pair of the run without the early stops is lost when no pair of the
+shipped run has its value within 1e-9 and its vector within 1e-6 in
+max-norm; a pair of the shipped run is gained when no pair of the other run
+matches it so.  A search whose pairs differ in any bit of a value, vector or
+residual differs.  One line is printed per search that loses, gains or
+differs, then one total per kind and one overall.  It only reports: the
+exit code is 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -36,6 +38,8 @@ STARTS = 64
 VALUE_TOL = 1e-9
 VECTOR_TOL = 1e-6
 SEARCHES = {"H": find_h_eigenpairs, "Z": find_z_eigenpairs}
+# min_step and stall of damped_newton with neither early stop.
+UNSTOPPED = (1e-10, 0)
 
 
 def members(count: int):
@@ -84,9 +88,9 @@ def _search(search, tensor, seed, limits):
 
 def sweep(cases) -> None:
     """Print the table for ``cases`` of (label, tensor, start seed).  The totals per kind are
-    [searches, pairs without the stop, lost, gained, searches that differ]."""
+    [searches, pairs without the early stops, lost, gained, searches that differ]."""
     shipped = spectral.NEWTON_LIMITS
-    unstopped = shipped[:3] + (0,)
+    unstopped = shipped[:2] + UNSTOPPED
     totals = {kind: [0, 0, 0, 0, 0] for kind in SEARCHES}
     print("search\tkind\tpairs\tlost\tgained\tbits\tvalues lost | gained")
     for label, tensor, seed in cases:

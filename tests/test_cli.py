@@ -465,6 +465,26 @@ class TestNonFiniteReport:
         assert _non_finite({"a": [1.0, 2], "b": None, "c": "nan"}) is None
 
 
+class TestTrialPointOverflow:
+    """A Newton trial point that overflows is a length that does not help, not a warning."""
+
+    def test_tcp_solve_at_order_40_converges_without_a_warning(self, tmp_path):
+        # The entry `gen --m 40 --n 1` writes: the full step's trial point overflows x**39.
+        path = tmp_path / "t.json"
+        dump_tensor(Tensor.from_flat(40, 1, [0.2770888466262316]), path)
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-m", "btensor", "tcp", "solve", str(path), "--q", "[-1]"],
+            capture_output=True, text=True, env=env, check=False, timeout=120,
+        )
+        assert run.returncode == 0
+        report = json.loads(run.stdout)
+        assert report["converged"] is True
+        # stderr holds the summary line alone.
+        assert run.stderr.splitlines() == [f"converged: True (residual {report['residual']:.3e})"]
+
+
 class TestSizeLimit:
     """A tensor over the entry budget exits 2 naming its size, before anything is allocated."""
 

@@ -157,15 +157,20 @@ class TestFindH:
 
     @pytest.mark.parametrize("name, limit, count", [("ex41", 90, 7), ("general4", 140, 8)])
     def test_stall_stop_contraction_calls(self, monkeypatch, name, limit, count):
-        # The stall stop drops the rows that sit on a merit plateau: without it (stall 0) this
-        # search made 94 (ex41) and 229 (the golden's _general(21, 4, 4)) calls; with it, 72
-        # and 109, and the same number of pairs.
+        # The early stops drop the rows that sit on a merit plateau: without them this search made
+        # 94 (ex41) and 229 (the golden's _general(21, 4, 4)) calls; with the stall stop alone 72
+        # and 109; as shipped 39 and 59, with the same number of pairs.
         tensor = load_example(name) if name == "ex41" else _general(21, 4, 4)
         calls = []
         kernel = spectral.contract_batch
         monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
         assert len(find_h_eigenpairs(tensor, starts=64, seed=0)) == count
-        assert len(calls) <= limit
+        shipped = len(calls)
+        assert shipped <= limit
+        # Neither early stop (min_step 1e-10, stall 0): the same pairs from at least twice the calls.
+        monkeypatch.setattr(spectral, "NEWTON_LIMITS", spectral.NEWTON_LIMITS[:2] + (1e-10, 0))
+        assert len(find_h_eigenpairs(tensor, starts=64, seed=0)) == count
+        assert len(calls) - shipped >= 2 * shipped
 
 
 def _newton_steps(jac, g):
@@ -180,6 +185,39 @@ def _newton_steps(jac, g):
             except np.linalg.LinAlgError:
                 steps[r] = np.linalg.lstsq(jac[r], -g[r], rcond=None)[0]
         return steps
+
+
+class TestNewtonLimits:
+    """The eigen line search ends at the longest halving that can only make a slow round."""
+
+    def test_shortest_length_is_under_the_stall_rule(self):
+        lengths = core._shorter_lengths(spectral.NEWTON_LIMITS[2])[:, 0]
+        assert lengths.tolist() == [0.5**k for k in range(1, 12)]
+        # To first order a step of length t takes the merit to (1 - t) times itself, so it lowers
+        # the squared merit by 1 - (1 - t)**2: under the stall rule's gain at 2^-11, not at 2^-10.
+        t = lengths[-1]
+        assert 1 - (1 - t) ** 2 < core._SLOW_GAIN <= 1 - (1 - 2 * t) ** 2
+
+    def test_a_row_only_a_shorter_length_helps_stops_after_one_round(self):
+        # From z = 0 the Newton step is 1, and only points in (0, 2^-12] lower the merit.
+        calls = []
+
+        def evaluate(z):
+            calls.append(len(z))
+            merit = np.where((z[:, 0] > 0.0) & (z[:, 0] <= 2.0**-12), 0.5, 1.0)
+            return z, -merit[:, None], merit
+
+        def jacobian(z, g):
+            calls.append("jacobian")
+            return np.ones((len(z), 1, 1))
+
+        start = np.zeros((1, 1))
+        z, g, merit = core.damped_newton(evaluate, jacobian, start, *spectral.NEWTON_LIMITS)
+        assert (z.tolist(), g.tolist(), merit.tolist()) == ([[0.0]], [[-1.0]], [1.0])
+        assert calls == [1, "jacobian", 1, 11]  # the start, length 1, then 1/2 .. 2^-11 in one call
+        # Halving on down to 1e-10, the row takes the length 2^-12.
+        z = core.damped_newton(evaluate, jacobian, start, *spectral.NEWTON_LIMITS[:2], 1e-10, 0)[0]
+        assert z.tolist() == [[2.0**-12]]
 
 
 class TestFindZ:
