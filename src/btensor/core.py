@@ -180,10 +180,13 @@ def contract(tensor: Tensor, x) -> np.ndarray:
     return contract_batch(tensor, _as_vector(tensor, x)[None])[0]
 
 
-def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
+def contract_batch(tensor: Tensor, points: np.ndarray, matrix: bool = False) -> np.ndarray:
     """Row-wise :func:`contract`, (k, n) -> (k, n): the one chain of matrix-vector products.
 
-    The last product of each chunk is written straight into the output.
+    The last product of each chunk is written straight into the output.  With ``matrix=True``
+    the chain stops one product early and gives the (k, n, n) stack ``A x^(m-2)``, whose
+    (i, j) entry contracts x into every index but the first two (A itself at m = 2); its
+    product with the points, ``stack @ points[:, :, None]``, is the ordinary output bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     arr = tensor.array
@@ -192,14 +195,17 @@ def contract_batch(tensor: Tensor, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected shape (k, {n}), got {pts.shape}")
     flat = arr.reshape(-1, n)
     step = max(1, _BATCH_FLOATS // len(flat))
-    out = np.empty(pts.shape + (1,))
+    out = np.empty(pts.shape + ((n,) if matrix else (1,)))
     for lo in range(0, len(pts), step):
         cols = pts[lo : lo + step, :, None]
         part = flat
         for _ in range(arr.ndim - 2):
             part = (part @ cols).reshape(len(cols), -1, n)
-        np.matmul(part, cols, out=out[lo : lo + step])
-    return out[:, :, 0]
+        if matrix:
+            out[lo : lo + step] = part
+        else:
+            np.matmul(part, cols, out=out[lo : lo + step])
+    return out if matrix else out[:, :, 0]
 
 
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:

@@ -4,10 +4,11 @@ Two real eigenpair kinds are handled.  An H-pair solves
 ``contract(A, x) = value * x**(m-1)`` componentwise; a Z-pair solves
 ``contract(A, x) = value * x * (x.x)**((m-2)/2)``.  The searches are seeded
 multistarts of :func:`core.damped_newton` on one bordered system, that
-equation with ``x.x = 1`` (for Z on symmetric input, after a shifted power
-iteration), so they return a subset of the true pairs; bound verification is
-falsification style: every found pair must land inside the closed-form bounds
-from the diagonal alone.  All starts of a search advance together as one
+equation with ``x.x = 1`` (for Z on symmetric input, after a power iteration
+whose shift each start reads every round off the kernel call that gives its
+contraction), so they return a subset of the true pairs; bound verification
+is falsification style: every found pair must land inside the closed-form
+bounds from the diagonal alone.  All starts of a search advance together as one
 stack, each exactly as it would alone; the power iteration keeps only its
 running starts packed.  The converged rows are then canonicalised together
 and their residuals taken in one stacked contraction; the pairs within
@@ -49,6 +50,8 @@ DEFAULT_STARTS = 64
 # max_iter, tol, min_step, stall of damped_newton.  A row either early stop ends is dropped, as is
 # any row left above tol; the eigen rows that stall seldom converge later (module docstring).
 NEWTON_LIMITS = (80, 1e-12, 2.0**-12, 10)
+# The power iteration's convexity margin tau and its stop on a value change, each times max |a|.
+_POWER_MARGIN, _POWER_STOP = 1e-6, 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,9 +245,10 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
         return mu[:, None, None] * (s * np.eye(n) + bend * outer), -x * s[:, :, 0]
 
     x = _unit_starts(seed, starts, n)
-    values = contract_batch(tensor, x)
     if is_entry_symmetric(tensor):
-        x, values = _shifted_power_iteration(tensor, x, values)
+        x, values = _shifted_power_iteration(tensor, x)
+    else:
+        values = contract_batch(tensor, x)
     z = _bordered_newton(tensor, _z_defect, terms, x, _row_dot(x, values))
     # Canonical vectors: unit 2-norm (no row is near 0, as x.x >= 1 - 2e-12) with the max-attaining
     # component positive.  Flipping the sign keeps the value at even order, negates it at odd.
@@ -268,47 +272,54 @@ def _power_shift(tensor: Tensor) -> float:
     return 1.0 + (tensor.order - 1) * (s * math.sqrt(float(a @ a)))
 
 
-def _shifted_power_iteration(tensor: Tensor, x: np.ndarray, values: np.ndarray):
-    """SS-HOPM on a stack of unit starts whose contractions are ``values``.
+def _shifted_power_iteration(tensor: Tensor, x: np.ndarray):
+    """SS-HOPM on a stack of unit starts, with an adaptive shift per start and round.
 
-    The shift is ``alpha = 1 + (m - 1) ||A||_F`` (:func:`_power_shift`).  SS-HOPM is monotone for
-    ``alpha > beta(A) = (m - 1) max_{|x| = 1} rho(A x^(m-2))`` (Kolda & Mayo 2011, SIAM J. Matrix
-    Anal. Appl. 32(4), Thm 4.4), and ``rho(A x^(m-2)) <= ||A x^(m-2)||_F <= ||A||_F``, as the
-    (m-2)-fold outer product of a unit x has unit 2-norm; so the shift holds on every tensor.
-    Even-indexed starts ascend and odd-indexed ones descend, so pairs at both ends of the
-    spectrum are reachable.  A start stops when its iterate update is zero or
-    its value has moved by less than 1e-12 on five rounds in a row, and after
-    10 000 rounds at most; one whose update or its norm is not finite is
-    dropped.  Returns the iterates and their contractions of the kept starts,
-    in start order.
+    A fixed shift above ``beta(A) = (m - 1) max_{|x| = 1} rho(A x^(m-2))``, such as the proved
+    ``1 + (m - 1) ||A||_F`` of :func:`_power_shift`, makes SS-HOPM monotone (Kolda & Mayo 2011,
+    SIAM J. Matrix Anal. Appl. 32(4), Thm 4.4), but slow.  GEAP (Kolda & Mayo 2014, SIAM J. Matrix
+    Anal. Appl. 35(4)) takes at each iterate the least shift that keeps the shifted objective
+    locally convex, ``max(0, (tau - lambda_min(S)) / m)`` with ``S = d m (m-1) A x^(m-2)`` for a
+    start of direction d.  The Gershgorin bound ``min_i (S_ii - sum_{j != i} |S_ij|)`` stands in
+    for ``lambda_min(S)``, so the shift is at least GEAP's, and the proved shift caps it; both come
+    from the stage ``A x^(m-2)`` of the round's one kernel call (its product with x is the
+    contraction).  Even-indexed starts ascend (d = 1), odd-indexed ones descend (d = -1).  A start
+    stops when its update is zero or its value moves by less than ``_POWER_STOP max|a|`` on five
+    rounds in a row, after 10 000 rounds at most; one whose update is not finite is dropped,
+    without numpy's warnings.  As ``tau = _POWER_MARGIN max|a|``, ``2^k A`` takes the iterates of
+    A wherever the cap does not bind.  Returns the kept starts' iterates and contractions, in order.
     """
-    alpha = _power_shift(tensor)
-    out_x, out_values = x.copy(), values.copy()
+    m, scale = tensor.order, float(np.abs(tensor.entries).max())
+    tau, stop, cap = _POWER_MARGIN * scale, _POWER_STOP * scale, _power_shift(tensor)
+    out_x, out_values = x.copy(), np.empty_like(x)
     kept = np.ones(len(x), dtype=bool)
     rows = np.arange(len(x))
     direction = np.where(rows % 2 == 0, 1.0, -1.0)[:, None]
     mu_prev = np.full(len(x), np.nan)
     stable = np.zeros(len(x), dtype=int)
-    for _ in range(10_000):
-        y = direction * values + alpha * x
-        norm_y = np.sqrt(_row_dot(y, y))
-        # The running starts' states stay packed; a start that stops goes back to the outputs.
-        # isfinite(norm_y) is false also where y is not finite.
-        going = (stable < 5) & np.isfinite(norm_y) & (norm_y != 0)
-        if not going.all():
-            kept[rows[(stable < 5) & ~np.isfinite(norm_y)]] = False
-            out_x[rows[~going]], out_values[rows[~going]] = x[~going], values[~going]
-            rows, direction, mu_prev, stable, x, values, y, norm_y = (
-                part[going] for part in (rows, direction, mu_prev, stable, x, values, y, norm_y)
-            )
-            if not rows.size:
-                break
-        x = y / norm_y[:, None]
-        values = contract_batch(tensor, x)
-        mu = _row_dot(x, values)
-        stable = np.where(np.abs(mu - mu_prev) < 1e-12, stable + 1, 0)
-        mu_prev = mu
-    out_x[rows], out_values[rows] = x, values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(10_001):
+            stage = contract_batch(tensor, x, matrix=True)
+            values = (stage @ x[:, :, None])[:, :, 0]
+            mu = _row_dot(x, values)
+            stable = np.where(np.abs(mu - mu_prev) < stop, stable + 1, 0)
+            mu_prev = mu
+            diag = direction * np.diagonal(stage, axis1=1, axis2=2)
+            gershgorin = (m * (m - 1)) * (diag + np.abs(diag) - np.add.reduce(np.abs(stage), axis=2)).min(axis=1)
+            y = direction * values + np.minimum(np.maximum(0.0, (tau - gershgorin) / m), cap)[:, None] * x
+            norm_y = np.sqrt(_row_dot(y, y))
+            # The running starts' states stay packed; a start that stops goes back to the outputs.
+            # isfinite(norm_y) is false also where y is not finite.  Round 10 001 stops every start.
+            going = (stable < 5) & np.isfinite(norm_y) & (norm_y != 0) & (step < 10_000)
+            if not going.all():
+                kept[rows[(stable < 5) & ~np.isfinite(norm_y)]] = False
+                out_x[rows[~going]], out_values[rows[~going]] = x[~going], values[~going]
+                rows, direction, mu_prev, stable, x, y, norm_y = (
+                    part[going] for part in (rows, direction, mu_prev, stable, x, y, norm_y)
+                )
+                if not rows.size:
+                    break
+            x = y / norm_y[:, None]
     return out_x[kept], out_values[kept]
 
 

@@ -27,7 +27,7 @@ from btensor import core
 from btensor.core import _BATCH_FLOATS, ENTRY_LIMIT, Report, check_count, damped_newton
 from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
-from oracles import broadcast_jacobian, chain_contract, naive_contract, naive_is_symmetric
+from oracles import broadcast_jacobian, chain_contract, naive_contract, naive_is_symmetric, naive_matrix_contract
 from test_solver_golden import _general, _symmetric
 
 
@@ -208,6 +208,33 @@ class TestContract:
 
     def test_empty_batch(self, ex41):
         assert contract_batch(ex41, np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_stage_is_the_matrix_contraction(self, order, dim, rng):
+        # The chain stopped one product early gives A x^(m-2), and its product with x is the
+        # ordinary output bit for bit, so a caller needing both makes one kernel call.
+        tensor = random_tensor(order, dim, rng)
+        for batch in (1, 3, 7):
+            pts = rng.uniform(-1.0, 1.0, size=(batch, dim))
+            stage = contract_batch(tensor, pts, matrix=True)
+            expected = naive_matrix_contract(tensor, pts)
+            assert stage.shape == (batch, dim, dim)
+            assert np.max(np.abs(stage - expected)) <= 1e-14 * (1.0 + np.max(np.abs(expected)))
+            assert np.array_equal((stage @ pts[:, :, None])[:, :, 0], contract_batch(tensor, pts))
+
+    def test_stage_of_an_empty_batch(self, ex41):
+        assert contract_batch(ex41, np.zeros((0, 3)), matrix=True).shape == (0, 3, 3)
+
+    def test_stage_across_blocks(self, rng):
+        tensor = random_tensor(4, 8, rng)
+        pts = simplex_lattice(8, 8)
+        assert len(pts) * 8**3 > 10 * _BATCH_FLOATS  # many row blocks
+        stage = contract_batch(tensor, pts, matrix=True)
+        assert np.array_equal((stage @ pts[:, :, None])[:, :, 0], contract_batch(tensor, pts))
+        for row in range(0, len(pts), 997):
+            want = naive_matrix_contract(tensor, pts[row : row + 1])[0]
+            assert np.max(np.abs(stage[row] - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
 
     def test_jacobian_matches_finite_differences(self, rng):
         tensor = random_tensor(4, 3, rng)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -252,13 +253,14 @@ class TestFindZ:
         pairs = find_z_eigenpairs(Tensor.diagonal_tensor(order, 2, [1e200, 1.0]), starts=8, seed=0)
         assert all(p.residual <= 1e-8 for p in pairs)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_power_iterate_stops_at_once(self, monkeypatch):
-        # The shift 1 + 2 ||A||_F = 1 + 2 sqrt(2) 1e308 is inf, so every update is non-finite and its
-        # start is dropped after one round instead of running all 10 000 on NaN.
+        # 6 A x overflows, so each start's Gershgorin bound is -inf and its shift the proved cap
+        # 1 + 2 sqrt(2) 1e308 = inf: every update is non-finite and its start is dropped after one
+        # round, without a warning, instead of running all 10 000 on NaN.
         calls = []
         kernel = spectral.contract_batch
-        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
+        monkeypatch.setattr(spectral, "contract_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
         assert find_z_eigenpairs(Tensor.diagonal_tensor(3, 2, [1e308, 1e308]), starts=4) == []
         assert len(calls) <= 4
 
@@ -291,9 +293,10 @@ def _symmetric_member(seed, order, dim):
 
 
 class TestPowerShift:
-    """The shifted power iteration's shift exceeds beta(A) = (m-1) max over the unit sphere of
-    rho(A x^(m-2)), above which Kolda & Mayo (2011, Thm 4.4) make SS-HOPM monotone.  beta is
-    sampled at 2000 seeded unit vectors, with A x^(m-2) contracted by the oracle's loops."""
+    """The proved shift that caps the power iteration's adaptive one exceeds beta(A) = (m-1) max
+    over the unit sphere of rho(A x^(m-2)), above which Kolda & Mayo (2011, Thm 4.4) make SS-HOPM
+    monotone.  beta is sampled at 2000 seeded unit vectors, with A x^(m-2) contracted by the
+    oracle's loops."""
 
     @staticmethod
     def sampled_beta(tensor):
@@ -335,15 +338,80 @@ class TestPowerShift:
         assert shift == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-15)
         assert math.isinf(spectral._power_shift(Tensor.diagonal_tensor(3, 2, [1e308, 1e308])))
 
-    @pytest.mark.parametrize("name, limit", [("ex41", 600), ("ex42", 2000)])
+    @pytest.mark.parametrize("name, limit", [("ex41", 100), ("ex42", 120)])
     def test_z_search_contraction_calls(self, monkeypatch, name, limit):
         # The solver does less work, not a faster kernel: with the shift 1 + sum |entries| this
-        # search made 1166 (ex41) and 5311 (ex42) calls; with 1 + (m-1) ||A||_F, 430 and 1091.
+        # search made 1166 (ex41) and 5311 (ex42) calls; with 1 + (m-1) ||A||_F, 430 and 1091;
+        # with the Gershgorin shift read off each round's kernel stage, 65 and 76.
         calls = []
         kernel = spectral.contract_batch
-        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
+        monkeypatch.setattr(spectral, "contract_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
         assert find_z_eigenpairs(load_example(name), starts=64, seed=0)
         assert len(calls) <= limit
+
+
+@functools.cache
+def _power_tensors():
+    """ex41, ex42 and seeded symmetric tensors of orders 3-6, diagonally dominant members and
+    mixed-sign ones that are not."""
+    tensors = {"ex41": load_example("ex41"), "ex42": load_example("ex42")}
+    for order, dim in itertools.product(range(3, 7), (2, 3, 4)):
+        tensors[f"member{order}{dim}"] = _symmetric_member(10 * order + dim, order, dim)
+        tensors[f"mixed{order}{dim}"] = _symmetric(40 + 10 * order + dim, order, dim)
+    return tensors
+
+
+class TestPowerIteration:
+    """The adaptive shift and the stop scale with A, and each step moves its start's way."""
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    @pytest.mark.parametrize("name", ["ex41", "ex42", *(f"member{o}{d}" for o in range(3, 7) for d in (2, 3))])
+    def test_power_of_two_scaling_is_exact(self, name, k):
+        tensor = _power_tensors()[name]
+        x = spectral._unit_starts(0, 64, tensor.dim)
+        base_x, base_values = spectral._shifted_power_iteration(tensor, x)
+        scaled_x, scaled_values = spectral._shifted_power_iteration(Tensor(np.ldexp(tensor.array, k)), x)
+        assert np.array_equal(scaled_x, base_x)
+        assert np.array_equal(scaled_values, np.ldexp(base_values, k))
+
+    def test_every_step_is_monotone(self, monkeypatch):
+        # The adaptive shift makes the shifted objective convex near the current iterate only, so
+        # this sweep guards the global step.  Each start runs alone: an ascending one as row 0, a
+        # descending one as row 1 behind a zero start, which stops in its first round.  The value
+        # of every iterate is read off the stage the iteration contracts it with.
+        values = []
+        kernel = spectral.contract_batch
+
+        def recorded(tensor, points, matrix=False):
+            out = kernel(tensor, points, matrix)
+            values.append(float(points[-1] @ out[-1] @ points[-1]))
+            return out
+
+        monkeypatch.setattr(spectral, "contract_batch", recorded)
+        steps = 0
+        for name, tensor in _power_tensors().items():
+            for start in spectral._unit_starts(5, 8, tensor.dim):
+                for direction, stack in ((1.0, start[None]), (-1.0, np.stack([np.zeros(tensor.dim), start]))):
+                    values.clear()
+                    spectral._shifted_power_iteration(tensor, stack)
+                    mu = np.array(values)
+                    backward = direction * (mu[:-1] - mu[1:])
+                    assert (backward <= 1e-12 * np.abs(mu[:-1])).all(), (name, direction)
+                    steps += len(backward)
+        assert steps > 5000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_stage_drops_its_row_without_a_warning(self):
+        # The constant order-4 tensor 1e308 has A x^2 = 1e308 (x_0 + x_1)^2 in every entry, which
+        # is inf where |x_0 + x_1| > 1.34; the Gershgorin sum then takes inf - inf, a NaN shift
+        # drops the row, and the other rows leave on overflowing values.  No Z-eigenvalue is
+        # finite: 4e308 at x = (1, 1)/sqrt(2).
+        tensor = Tensor(np.full((2,) * 4, 1e308))
+        x = spectral._unit_starts(0, 8, 2)
+        assert (np.abs(x.sum(axis=1)) > 1.34).any()
+        kept_x, kept_values = spectral._shifted_power_iteration(tensor, x)
+        assert kept_x.shape == kept_values.shape == (0, 2)
+        assert find_z_eigenpairs(tensor, starts=8) == []
 
 
 class TestVerifyBounds:
