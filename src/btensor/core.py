@@ -8,11 +8,10 @@ last index first with a ``(k, n)`` batch as a leading axis (any order), does
 every contraction; :func:`contract` is its one-row case.  On it rest the two
 degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
 (:func:`root_map`); they and :func:`contraction_jacobian` each take one
-vector or a batch.  The Jacobian makes each of its products one matmul per
-batch row, where numpy's broadcast would make one BLAS call per (n, n) block.
-Each entry still meets the same operations in the same order, so the bits hold
-wherever a BLAS row does not depend on the rows sharing its call; a GEMM over
-the batch would move them and is not used (see :func:`contraction_jacobian`).
+vector or a batch.  The Jacobian is the same kernel too: it is linear in the
+entries, so it is the ``matrix=True`` stage ``B x^(m-2)`` of the slot-sum
+tensor B, the sum over the m-1 contracted slots of A with that slot moved
+next to the first index, which a Newton pass builds once and reuses.
 :func:`damped_newton` is the one Newton driver: it
 advances a stack of starts together, and the H- and Z-eigenpair searches and
 the complementarity solver supply only a batched residual and its Jacobian;
@@ -211,55 +210,28 @@ def contract_batch(tensor: Tensor, points: np.ndarray, matrix: bool = False) -> 
 def contraction_jacobian(tensor: Tensor, x) -> np.ndarray:
     """Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
 
-    Uses the exact multilinear rule: one term per held index slot s = 1 .. m-1,
-    the entries contracted with x at every other index but the first, last index
-    first, and the terms added to zero in slot order.  No symmetry of the entries
-    is assumed, and a batch row is bit for bit the single-vector result.
-
-    Grouping: each product is one matmul per batch row over every row it makes,
-    not one BLAS call per (n, n) block as numpy's broadcast would make.  Slots
-    1 .. m-2 all begin at index m-1, so they share the products down to index
-    s+1; each then contracts s-1 .. 1 from a copy of that partial result with
-    index s moved ahead.  The last slot begins at index m-2 with m-1 held: at
-    m >= 4 through a strided view that numpy cannot hand to BLAS, whose own loop
-    is a running sum from 0.0 in index order, as each block's was; at m = 3 its
-    blocks are column-major and go to BLAS's axpy kernel, whose rows depend on
-    the rows around them, so they stay one call each.
-
-    Bits: rounding depends only on each entry's operations and their order
-    (Higham 2002, section 3.1), and these are the block-by-block ones wherever a
-    BLAS gemv row does not depend on how many rows share the call: with numpy's
-    bundled OpenBLAS 0.3.31, at dims up to 8 and at multiples of 4.  Two other
-    groupings move bits and are not used: a GEMM over the batch, and the points
-    as the matrix of the call.
+    The ``matrix=True`` stage of :func:`contract_batch` on :func:`_slot_sum` of the tensor.
     """
-    pts = _as_rows(tensor, x)
+    stage = contract_batch(_slot_sum(tensor), _as_rows(tensor, x), matrix=True)
+    return stage.reshape(np.shape(x) + (tensor.dim,))
+
+
+def _slot_sum(tensor: Tensor) -> Tensor:
+    """The tensor B whose stage ``B x^(m-2)`` is the Jacobian of ``x -> A x^(m-1)`` at x.
+
+    By the multilinear rule the Jacobian has one term per contracted slot s = 1 .. m-1, A with
+    index s held, so B is the sum of ``np.moveaxis(A, s, 1)``, added to a copy of A in slot order;
+    no symmetry of the entries is assumed.  A sum past the float range is inf, without numpy's
+    warnings, and makes its Jacobian rows non-finite.  Newton passes build it once per pass.
+    """
     arr = tensor.array
-    m, n, k = arr.ndim, len(arr), len(pts)
-    cols = pts[:, :, None]
-    # Each product keeps its trailing unit axis, which the next reshape drops; last slot first.
-    if m == 2:
-        terms = [arr]
-    elif m == 3:
-        terms = [arr.transpose(0, 2, 1) @ pts[:, None, :, None]]
-    else:
-        # Index m-1 ahead of 0 .. m-3 (merged, one stride) and m-2 as the columns.
-        part = arr.transpose(m - 1, *range(m - 2), m - 2).reshape(n, -1, n) @ pts[:, None, :, None]
-        for left in range(m - 2, 1, -1):
-            part = part.reshape(-1, n**left, n) @ cols
-        terms = [part.reshape(k, n, n).swapaxes(1, 2)]
-    shared = arr
-    for slot in range(m - 2, 0, -1):
-        # shared holds indices 0 .. slot; the held term orders them (0, slot, 1, .., slot-1).
-        shared = shared.reshape(-1, n ** (slot + 1), n) @ cols
-        part = shared.reshape(k, n, n ** (slot - 1), n).swapaxes(2, 3)
-        for left in range(slot, 1, -1):
-            part = part.reshape(-1, n**left, n) @ cols
-        terms.append(part)
-    jac = np.zeros((k, n, n))
-    for term in reversed(terms):
-        jac += term.reshape(-1, n, n)
-    return jac.reshape(np.shape(x) + (n,))
+    m = arr.ndim
+    total = arr.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot in range(2, m):
+            # np.moveaxis(arr, slot, 1), without its argument checks.
+            total += arr.transpose(0, slot, *range(1, slot), *range(slot + 1, m))
+    return Tensor(total)
 
 
 @functools.lru_cache(maxsize=16)
@@ -280,8 +252,8 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     those of the accepted rows and gives the (j, d, d) residual derivatives.  Every row
     steps as if it ran alone: it takes the first length 1, 1/2, ... above ``min_step``
     that lowers its merit, and it stops at merit ``<= tol``, after ``max_iter`` steps, or
-    when no length does; an inf or NaN trial merit never does, so the rounds run without
-    numpy's overflow and invalid warnings.  With ``stall > 0`` it also stops after
+    when no length does; an inf or NaN trial merit never does, so the starts and the rounds
+    are evaluated without numpy's overflow and invalid warnings.  With ``stall > 0`` it also stops after
     ``stall`` rounds in a row whose accepted step lowered its squared merit by less than
     0.1%, ``1 - (new / old)**2 < _SLOW_GAIN``: MINPACK's ``hybrd`` stops on ten such
     rounds (``actred < 0.001``) as "not making good progress", ``info = 5`` (More, Garbow
@@ -295,15 +267,15 @@ def damped_newton(evaluate, jacobian, z0, max_iter: int, tol: float, min_step: f
     length.  Returns the last accepted ``(z, g, merit)`` stacks.
     """
     shorter = _shorter_lengths(min_step)
-    state = evaluate(np.array(z0, dtype=float))
-    # The rows still stepping, by id, and their arrays; a row's arrays go back into state
-    # when it stops.  A NaN merit stops at once, as no length could lower it, and no row
-    # steps when even the full length is not above min_step.
-    rows, live = np.arange(len(state[0])), state
-    going = (state[2] > tol) & (min_step < 1.0)
-    # Each live row's count of slow rounds in a row, compacted with the live arrays.
-    slow = np.zeros(len(rows), dtype=int) if stall else None
     with np.errstate(over="ignore", invalid="ignore"):
+        state = evaluate(np.array(z0, dtype=float))
+        # The rows still stepping, by id, and their arrays; a row's arrays go back into state
+        # when it stops.  A NaN merit stops at once, as no length could lower it, and no row
+        # steps when even the full length is not above min_step.
+        rows, live = np.arange(len(state[0])), state
+        going = (state[2] > tol) & (min_step < 1.0)
+        # Each live row's count of slow rounds in a row, compacted with the live arrays.
+        slow = np.zeros(len(rows), dtype=int) if stall else None
         for _ in range(max_iter):
             moving = np.count_nonzero(going)
             if not moving:

@@ -35,9 +35,9 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
+    _slot_sum,
     check_count,
     contract_batch,
-    contraction_jacobian,
     damped_newton,
     is_entry_symmetric,
 )
@@ -64,7 +64,7 @@ class EigenPair(Report):
 
 def _h_defect(tensor: Tensor, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """``contract(A, x) - lam * x**(m-1)`` per row of a (k, n) stack x with (k,) values lam."""
-    return contract_batch(tensor, x) - lam[:, None] * x ** (tensor.order - 1)
+    return contract_batch(tensor, x) - lam[:, None] * _power(x, tensor.order - 1)
 
 
 def _z_defect(tensor: Tensor, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -160,6 +160,19 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """``x ** k`` for an integer k, as ``|x| ** k`` with the sign of x put back at odd k.
+
+    numpy's array power takes a slow scalar path on negative bases under AVX-512; on non-negative
+    ones it is fast.  Where ``pow`` keeps ``pow(-a, k) = (-1)**k pow(a, k)``, as glibc's does,
+    the bits are those of ``x ** k``, signed zeros and infinities included; a NaN stays a NaN.
+    """
+    out = np.abs(x) ** k
+    if k % 2:
+        np.copysign(out, x, out=out)
+    return out
+
+
 def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """Python's ``float ** exponent`` per entry; numpy's array power can differ in the last bit."""
     return np.array([v**exponent for v in values.tolist()])
@@ -178,6 +191,7 @@ def _bordered_newton(tensor: Tensor, defect, terms, x0: np.ndarray, values0: np.
     to ``defect(tensor, x, value) = 0`` with ``x.x = 1``.  ``terms(x, value)`` gives the block the
     value's term takes off the contraction Jacobian, and the value's column of the bordered Jacobian."""
     n = tensor.dim
+    slots = _slot_sum(tensor)
 
     def evaluate(z):
         x = z[:, :n]
@@ -190,7 +204,7 @@ def _bordered_newton(tensor: Tensor, defect, terms, x0: np.ndarray, values0: np.
         x = z[:, :n]
         block, column = terms(x, z[:, n])
         jac = np.zeros((len(z), n + 1, n + 1))
-        jac[:, :n, :n] = contraction_jacobian(tensor, x) - block
+        jac[:, :n, :n] = contract_batch(slots, x, matrix=True) - block
         jac[:, :n, n] = column
         jac[:, n, :n] = x
         return jac
@@ -211,11 +225,11 @@ def find_h_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
 
     def terms(x, lam):
         powers = np.zeros((len(x), n, n))
-        powers[:, diag, diag] = x ** (m - 2)
-        return (lam * (m - 1))[:, None, None] * powers, -(x ** (m - 1))
+        powers[:, diag, diag] = _power(x, m - 2)
+        return (lam * (m - 1))[:, None, None] * powers, -_power(x, m - 1)
 
     x0 = _unit_starts(seed, starts, n)
-    powers = x0 ** (m - 1)
+    powers = _power(x0, m - 1)
     # A unit start has max|x_i| >= 1/sqrt(n), so the denominator is at least n**-(m-1) > 0.
     lam0 = _row_dot(powers, contract_batch(tensor, x0)) / _row_dot(powers, powers)
     z = _bordered_newton(tensor, _h_defect, terms, x0, lam0)
@@ -308,11 +322,20 @@ def _shifted_power_iteration(tensor: Tensor, x: np.ndarray):
             gershgorin = (m * (m - 1)) * (diag + np.abs(diag) - np.add.reduce(np.abs(stage), axis=2)).min(axis=1)
             y = direction * values + np.minimum(np.maximum(0.0, (tau - gershgorin) / m), cap)[:, None] * x
             norm_y = np.sqrt(_row_dot(y, y))
+            finite = np.isfinite(norm_y)
+            if not finite.all():
+                # y.y overflows once |y| passes about 1.3e154: a finite such row takes its norm from
+                # y scaled exactly by the power of two of its max |y|.  No other row does more work.
+                over = ~finite & np.isfinite(y).all(axis=1)
+                _, exp = np.frexp(np.abs(y[over]).max(axis=1))
+                scaled = np.ldexp(y[over], -exp[:, None])
+                norm_y[over] = np.ldexp(np.sqrt(_row_dot(scaled, scaled)), exp)
+                finite = np.isfinite(norm_y)
             # The running starts' states stay packed; a start that stops goes back to the outputs.
-            # isfinite(norm_y) is false also where y is not finite.  Round 10 001 stops every start.
-            going = (stable < 5) & np.isfinite(norm_y) & (norm_y != 0) & (step < 10_000)
+            # finite is false also where y is not finite.  Round 10 001 stops every start.
+            going = (stable < 5) & finite & (norm_y != 0) & (step < 10_000)
             if not going.all():
-                kept[rows[(stable < 5) & ~np.isfinite(norm_y)]] = False
+                kept[rows[(stable < 5) & ~finite]] = False
                 out_x[rows[~going]], out_values[rows[~going]] = x[~going], values[~going]
                 rows, direction, mu_prev, stable, x, y, norm_y = (
                     part[going] for part in (rows, direction, mu_prev, stable, x, y, norm_y)

@@ -4,7 +4,8 @@ The solver runs :func:`core.damped_newton` on a stack of starts in two passes, o
 residual ``min(x, w)`` (semismooth, projected onto x >= 0) and on the Fischer-Burmeister residual
 ``x + w - hypot(x, w)``; the second runs from the same starts on those the first leaves unsolved.
 In either pass each residual call makes one ``contract_batch`` call and each Jacobian call one
-``contraction_jacobian`` call and no contraction, as the Jacobian reuses the residual's w.
+``contract_batch`` stage call on the pass's slot-sum tensor (:func:`core._slot_sum`) and no
+contraction, as the Jacobian reuses the residual's w.
 ``solve`` runs the natural residual first, its first start alone and, only if that fails, its other
 starts as one stack, keeping the first in start order that converges.  The boundedness probe runs
 the starts of every radius as one stack, Fischer-Burmeister first, as the min-map pass takes far
@@ -25,10 +26,10 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
+    _slot_sum,
     check_count,
     contract,
     contract_batch,
-    contraction_jacobian,
     damped_newton,
     vector_norm,
 )
@@ -93,7 +94,7 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     Returns the (k, n) points and their (k,) residuals.
     """
     tensor, q = instance.tensor, instance.q
-    identity = np.eye(tensor.dim)
+    identity, slots = np.eye(tensor.dim), _slot_sum(tensor)
 
     def evaluate(x):
         x = np.maximum(x, 0.0)
@@ -102,7 +103,7 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
 
     def jacobian(x, phi):
         # Rows where min(x, w) picks x (x <= w) differentiate to the identity, the rest to w's.
-        jac = contraction_jacobian(tensor, x)
+        jac = contract_batch(slots, x, matrix=True)
         np.copyto(jac, identity, where=(phi == x)[:, :, None])
         return jac
 
@@ -119,7 +120,7 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
     (k, n) points, projected onto x >= 0, and their natural residuals.
     """
     tensor, q = instance.tensor, instance.q
-    identity = np.eye(tensor.dim)
+    identity, slots = np.eye(tensor.dim), _slot_sum(tensor)
 
     def evaluate(x):
         w = q + contract_batch(tensor, x)
@@ -131,7 +132,7 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
         # diag(1 - x/r) + diag(1 - w/r) J, with x/r = w/r = 1/sqrt 2 where r = 0.
         live = r > 0
         x_r, w_r = (np.divide(v, r, out=np.full_like(r, math.sqrt(0.5)), where=live) for v in (x, w))
-        jac = (1.0 - w_r)[:, :, None] * contraction_jacobian(tensor, x)
+        jac = (1.0 - w_r)[:, :, None] * contract_batch(slots, x, matrix=True)
         return jac + (1.0 - x_r)[:, :, None] * identity
 
     fb_tol = tol * (2.0 - math.sqrt(2.0))

@@ -53,8 +53,9 @@ def chain_contract(tensor, x):
 
 
 def broadcast_jacobian(tensor, x) -> np.ndarray:
-    """The former ``core.contraction_jacobian``, kept verbatim as the bitwise reference: numpy's
-    broadcast matmul makes one (n, n) @ (n, 1) call per block of every product.
+    """An independent slot-by-slot reference for ``core.contraction_jacobian``, which agrees with
+    it within rounding: each slot's term is contracted on its own, with numpy's broadcast matmul
+    making one (n, n) @ (n, 1) call per block of every product, and the terms are added to zero.
 
     Derivative matrix of ``x -> contract(tensor, x)``: (n,) -> (n, n), or row-wise (k, n) -> (k, n, n).
 

@@ -28,6 +28,20 @@ from oracles import naive_contract, naive_matrix_contract, serial_dedup_and_sort
 from test_solver_golden import _general, _symmetric
 
 
+def _count_kernel_calls(monkeypatch):
+    """Spy on spectral's ``contract_batch``: its contractions and its ``matrix=True`` stage calls,
+    counted apart, as a dict updated in place."""
+    counts = {"contractions": 0, "stages": 0}
+    kernel = spectral.contract_batch
+
+    def counted(*args, **kwargs):
+        counts["stages" if kwargs.get("matrix") else "contractions"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "contract_batch", counted)
+    return counts
+
+
 class TestEigenvalueBounds:
     def test_bundled_example(self, ex41):
         report = eigenvalue_bounds(ex41, "B")
@@ -159,19 +173,18 @@ class TestFindH:
     @pytest.mark.parametrize("name, limit, count", [("ex41", 90, 7), ("general4", 140, 8)])
     def test_stall_stop_contraction_calls(self, monkeypatch, name, limit, count):
         # The early stops drop the rows that sit on a merit plateau: without them this search made
-        # 94 (ex41) and 229 (the golden's _general(21, 4, 4)) calls; with the stall stop alone 72
-        # and 109; as shipped 39 and 59, with the same number of pairs.
+        # 108 (ex41) and 226 (the golden's _general(21, 4, 4)) contractions; with the stall stop
+        # alone 72 and 109; as shipped 39 and 59, with the same number of pairs.  Each Newton round
+        # adds one stage call for its Jacobian: 18 and 25 as shipped.
         tensor = load_example(name) if name == "ex41" else _general(21, 4, 4)
-        calls = []
-        kernel = spectral.contract_batch
-        monkeypatch.setattr(spectral, "contract_batch", lambda *a: calls.append(1) or kernel(*a))
+        counts = _count_kernel_calls(monkeypatch)
         assert len(find_h_eigenpairs(tensor, starts=64, seed=0)) == count
-        shipped = len(calls)
-        assert shipped <= limit
+        shipped = counts["contractions"]
+        assert shipped <= limit and 0 < counts["stages"] < shipped
         # Neither early stop (min_step 1e-10, stall 0): the same pairs from at least twice the calls.
         monkeypatch.setattr(spectral, "NEWTON_LIMITS", spectral.NEWTON_LIMITS[:2] + (1e-10, 0))
         assert len(find_h_eigenpairs(tensor, starts=64, seed=0)) == count
-        assert len(calls) - shipped >= 2 * shipped
+        assert counts["contractions"] - shipped >= 2 * shipped
 
 
 def _newton_steps(jac, g):
@@ -257,12 +270,10 @@ class TestFindZ:
     def test_non_finite_power_iterate_stops_at_once(self, monkeypatch):
         # 6 A x overflows, so each start's Gershgorin bound is -inf and its shift the proved cap
         # 1 + 2 sqrt(2) 1e308 = inf: every update is non-finite and its start is dropped after one
-        # round, without a warning, instead of running all 10 000 on NaN.
-        calls = []
-        kernel = spectral.contract_batch
-        monkeypatch.setattr(spectral, "contract_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+        # round, without a warning, instead of running all 10 000 on NaN.  No Newton round follows.
+        counts = _count_kernel_calls(monkeypatch)
         assert find_z_eigenpairs(Tensor.diagonal_tensor(3, 2, [1e308, 1e308]), starts=4) == []
-        assert len(calls) <= 4
+        assert counts["stages"] == 1 and counts["contractions"] <= 3
 
     @pytest.mark.parametrize("search", [find_h_eigenpairs, find_z_eigenpairs])
     @pytest.mark.parametrize("starts", [0, -3])
@@ -412,6 +423,22 @@ class TestPowerIteration:
         kept_x, kept_values = spectral._shifted_power_iteration(tensor, x)
         assert kept_x.shape == kept_values.shape == (0, 2)
         assert find_z_eigenpairs(tensor, starts=8) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_update_whose_square_overflows_keeps_its_row(self):
+        # An ascending start's update is about 1e160 x, so y.y overflows; its norm is taken from y
+        # scaled by a power of two, and all 8 starts are kept, at unit 2-norm, without a warning.
+        tensor = Tensor.diagonal_tensor(2, 2, [1e160, 1e160])
+        kept_x, kept_values = spectral._shifted_power_iteration(tensor, spectral._unit_starts(0, 8, 2))
+        assert kept_x.shape == (8, 2)
+        assert np.abs(np.sqrt(np.add.reduce(kept_x * kept_x, axis=1)) - 1.0).max() <= 1e-15
+        assert np.array_equal(kept_values, 1e160 * kept_x)
+        # At order 4 the same overflow hid the Z-pair (1e155, e1).
+        pairs = find_z_eigenpairs(Tensor.diagonal_tensor(4, 2, [1e155, 1e155]), starts=8)
+        assert any(p.value == 1e155 and np.array_equal(np.abs(p.vector), [1.0, 0.0]) for p in pairs)
+        # At the float limit the squared merit of the Newton starts overflows as well.
+        pairs = find_z_eigenpairs(Tensor.diagonal_tensor(2, 2, [1e308, 1e308]), starts=8)
+        assert len(pairs) == 8 and all(p.value == 1e308 for p in pairs)
 
 
 class TestVerifyBounds:
@@ -603,6 +630,25 @@ class TestDedup:
             row = np.array(vector) + np.array([data.draw(_offsets(spectral.VECTOR_DEDUP_TOL)) for _ in range(n)])
             vectors.append(-row if data.draw(st.booleans()) else row)
         self._check(values, np.reshape(vectors, (-1, n)))
+
+
+class TestSignFoldedPower:
+    """``spectral._power`` gives the bits of numpy's ``x ** k`` at integer k."""
+
+    @pytest.mark.parametrize("k", range(-4, 8))
+    def test_bits_match_numpy_power(self, k):
+        # Signed draws over the whole exponent range, subnormals included, and the special values.
+        rng = np.random.default_rng(k + 4)
+        x = np.ldexp(rng.uniform(1.0, 2.0, 20_000), rng.integers(-1075, 1024, 20_000))
+        x *= rng.choice([-1.0, 1.0], x.shape)
+        big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+        x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, big, -big, 1.0, -1.0]])
+        with np.errstate(all="ignore"):
+            got, want = spectral._power(x, k), x**k
+        assert np.array_equal(got, want, equal_nan=True)
+        # Zeros and infinities keep their signs; a NaN's sign means nothing.
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 class TestResidualDefinitions:
