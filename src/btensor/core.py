@@ -8,10 +8,13 @@ last index first with a ``(k, n)`` batch as a leading axis (any order), does
 every contraction; :func:`contract` is its one-row case.  On it rest the two
 degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
 (:func:`root_map`); they and :func:`contraction_jacobian` each take one
-vector or a batch.  The Jacobian is the same kernel too: it is linear in the
-entries, so it is the ``matrix=True`` stage ``B x^(m-2)`` of the slot-sum
-tensor B, the sum over the m-1 contracted slots of A with that slot moved
-next to the first index, which a Newton pass builds once and reuses.
+vector or a batch.  A batch's row sums and maxima, such as ``T``'s row
+2-norms and the norm ascent's row p-norms, are reduced one column at a time
+(``_reduce_rows``), numpy's bits on rows of up to 7 entries.  The Jacobian
+is the same kernel too: it is linear in the entries, so it is the
+``matrix=True`` stage ``B x^(m-2)`` of the slot-sum tensor B, the sum over
+the m-1 contracted slots of A with that slot moved next to the first index,
+which a Newton pass builds once and reuses.
 :func:`damped_newton` is the one Newton driver: it
 advances a stack of starts together, and the H- and Z-eigenpair searches and
 the complementarity solver supply only a batched residual and its Jacobian;
@@ -350,6 +353,21 @@ def vector_norm(x, p: float = 2.0) -> float:
     return float(np.add.reduce(powers) ** (1.0 / p))
 
 
+def _reduce_rows(ufunc, rows: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(rows, axis=1)`` of a (k, n) stack by n - 1 whole-column calls in index
+    order, as numpy's one inner loop per row costs more than the arithmetic on short rows.
+    Maxima of non-negative rows are numpy's bits.  Sums run left to right, numpy's bits up to
+    n = 7 but for a row of -0 alone (numpy adds to +0); from n = 8, where numpy sums pairwise,
+    they may differ in the last bit."""
+    n = rows.shape[1]
+    if n == 1:
+        return rows[:, 0].copy()
+    out = ufunc(rows[:, 0], rows[:, 1])
+    for j in range(2, n):
+        ufunc(out, rows[:, j], out=out)
+    return out
+
+
 def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """Degree-one homogeneous map: the contraction rescaled by ``|x|_2 ** (2 - m)``.
 
@@ -357,8 +375,8 @@ def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """
     pts = _as_rows(tensor, x)
     values = contract_batch(tensor, pts)
-    # The ufuncs of np.linalg.norm(pts, axis=1), without its dispatch.
-    norms = np.sqrt(np.add.reduce(pts * pts, axis=1))
+    # The ufuncs of np.linalg.norm(pts, axis=1), the sum by columns.
+    norms = np.sqrt(_reduce_rows(np.add, pts * pts))
     if np.count_nonzero(norms) < len(norms):
         scale = np.zeros_like(norms)
         live = norms > 0
@@ -366,7 +384,7 @@ def scaled_map(tensor: Tensor, x) -> np.ndarray:
     else:
         scale = norms ** (2 - tensor.order)
     values *= scale[:, None]
-    return values.reshape(np.shape(x))
+    return values[0] if np.ndim(x) == 1 else values
 
 
 def root_map(tensor: Tensor, x) -> np.ndarray:
@@ -378,7 +396,8 @@ def root_map(tensor: Tensor, x) -> np.ndarray:
     if tensor.order % 2:
         raise UnsupportedOrder(f"map needs an even order, got {tensor.order}")
     values = contract_batch(tensor, _as_rows(tensor, x))
-    return (np.sign(values) * np.abs(values) ** (1.0 / (tensor.order - 1))).reshape(np.shape(x))
+    roots = np.sign(values) * np.abs(values) ** (1.0 / (tensor.order - 1))
+    return roots[0] if np.ndim(x) == 1 else roots
 
 
 def is_entry_symmetric(tensor: Tensor) -> bool:

@@ -8,11 +8,12 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone.  One private closed form, ``scale * ||v ** r||_p``, gives
-every bound; :func:`closed_form_report` classifies a tensor once, or takes the
-caller's classification, and gives the class bracket at its own class as a
-:class:`NormBoundReport` with no estimate, and :func:`bound_report` adds the
-checked estimate to it.
+as if it ran alone; its row norms reduce a column at a time
+(``core._reduce_rows``), not a row at a time.  One private closed form,
+``scale * ||v ** r||_p``, gives every bound; :func:`closed_form_report`
+classifies a tensor once, or takes the caller's classification, and gives the
+class bracket at its own class as a :class:`NormBoundReport` with no estimate,
+and :func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Report, Tensor, UnsupportedOrder, check_count, root_map, scaled_map
+from .core import Report, Tensor, UnsupportedOrder, _reduce_rows, check_count, root_map, scaled_map
 from .structure import require_membership
 
 SANDWICH_SLACK = 1e-9
@@ -112,9 +113,10 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
 
 
 def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of every row of a (k, n) stack, reduced a column at a time."""
     if p == math.inf:
-        return np.maximum.reduce(np.abs(points), axis=1)
-    return np.add.reduce(np.abs(points) ** p, axis=1) ** (1 / p)
+        return _reduce_rows(np.maximum, np.abs(points))
+    return _reduce_rows(np.add, np.abs(points) ** p) ** (1 / p)
 
 
 def _normalize_rows(points: np.ndarray, p: float) -> np.ndarray:
@@ -148,12 +150,16 @@ def estimate_norm(
     one batch; a start takes its candidate when the value rises, before the
     next move is made, so each row climbs as it would alone.  The result is
     deterministic in the seed and never exceeds the true operator norm.
+    ``step``, each start's first move length, must be finite and > 0.
     """
     p = _checked_p(operator, p)
     apply_map = _MAPS[operator]
     check_count("samples", samples, tensor.dim)
     if ascent_steps < 0:
         raise ValueError(f"ascent_steps must be >= 0, got {ascent_steps}")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     n = tensor.dim
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.ones((1, n)), np.eye(n), rng.standard_normal((samples, n))])
@@ -161,7 +167,7 @@ def estimate_norm(
     values = _row_norms(apply_map(tensor, points), p)
 
     candidates = np.empty_like(points)
-    steps = np.full(len(points), float(step))
+    steps = np.full(len(points), step)
     for _ in range(ascent_steps):
         improved = np.zeros(len(points), dtype=bool)
         moves = (steps, -steps)
@@ -171,10 +177,9 @@ def estimate_norm(
                 candidates[:, j] += move
                 cand_values = _row_norms(apply_map(tensor, _normalize_rows(candidates, p)), p)
                 better = cand_values > values
-                if np.count_nonzero(better):
-                    np.copyto(points, candidates, where=better[:, None])
-                    np.copyto(values, cand_values, where=better)
-                    improved |= better
+                np.copyto(points, candidates, where=better[:, None])
+                np.copyto(values, cand_values, where=better)
+                improved |= better
         steps[~improved] *= 0.5
 
     best = int(np.argmax(values))

@@ -246,13 +246,16 @@ def semipositivity_certificate(
     the kernel, in lattice order.  Every point is scored when the filter
     cannot bound its error (entries of magnitude above half the largest float,
     or not finite), and on small lattices, which the kernel alone scores as fast.
+    A score past the float range is inf or NaN, as the kernel gives it, without
+    numpy's overflow and invalid warnings.
     """
     if mode not in ("strict", "weak"):
         raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
     points = simplex_lattice(resolution, tensor.dim)
     supported = points > 0
     rows = _candidate_rows(tensor, points, supported)
-    values = contract_batch(tensor, points[rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = contract_batch(tensor, points[rows])
     support_max = np.where(supported[rows], values, -math.inf).max(axis=1)
     at = int(np.argmin(support_max))  # first hit is the lexicographically smallest
     worst_value = float(support_max[at])

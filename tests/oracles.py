@@ -164,6 +164,17 @@ def serial_boundedness_probe(tensor, q, starts, seed, radii, tol, passes):
     return rows, bounded
 
 
+def left_to_right_reduce(ufunc, rows) -> np.ndarray:
+    """Each row of a (k, n) stack reduced by ``ufunc`` one scalar at a time, from its first entry on."""
+    out = []
+    for row in rows.tolist():
+        total = row[0]
+        for value in row[1:]:
+            total = float(ufunc(total, value))
+        out.append(total)
+    return np.array(out, dtype=float)
+
+
 def naive_is_symmetric(array):
     """Entry-by-entry check of invariance under every index permutation."""
     n, m = array.shape[0], array.ndim

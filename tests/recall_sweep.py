@@ -13,8 +13,8 @@ with ``--bench-seeds`` they are instead the items of the ``eigen_search``
 benchmark pool at those seeds, each with its own start seed.
 
 A pair of the run without the early stops is lost when no pair of the
-shipped run has its value within 1e-9 and its vector within 1e-6 in
-max-norm; a pair of the shipped run is gained when no pair of the other run
+shipped run has its value within 1e-9 and its vector, or its negative,
+within 1e-6 in max-norm; a pair of the shipped run is gained when no pair of the other run
 matches it so.  A search whose pairs differ in any bit of a value, vector or
 residual differs.  One line is printed per search that loses, gains or
 differs, then one total per kind and one overall.  It only reports: the
@@ -63,12 +63,16 @@ def bench_members(seeds):
 
 
 def unmatched(pairs, others) -> list:
-    """The pairs with no pair of ``others`` within ``VALUE_TOL`` in value and ``VECTOR_TOL`` in vector."""
+    """The pairs with no pair of ``others`` within ``VALUE_TOL`` in value and ``VECTOR_TOL`` in vector
+    or its negative, as ``spectral._dedup_and_sort`` matches: a canonical vector flips sign when its
+    two largest |components| swap."""
     return [
         p
         for p in pairs
         if not any(
-            abs(p.value - q.value) <= VALUE_TOL and np.abs(p.vector - q.vector).max() <= VECTOR_TOL for q in others
+            abs(p.value - q.value) <= VALUE_TOL
+            and min(np.abs(p.vector - q.vector).max(), np.abs(p.vector + q.vector).max()) <= VECTOR_TOL
+            for q in others
         )
     ]
 

@@ -27,7 +27,14 @@ from btensor import core
 from btensor.core import _BATCH_FLOATS, ENTRY_LIMIT, Report, check_count, damped_newton
 from btensor.structure import random_b_tensor, random_tensor, simplex_lattice
 
-from oracles import broadcast_jacobian, chain_contract, naive_contract, naive_is_symmetric, naive_matrix_contract
+from oracles import (
+    broadcast_jacobian,
+    chain_contract,
+    left_to_right_reduce,
+    naive_contract,
+    naive_is_symmetric,
+    naive_matrix_contract,
+)
 from test_solver_golden import _general, _symmetric
 
 
@@ -599,6 +606,16 @@ class TestHomogeneousMaps:
             for row, point in zip(batched, pts):
                 assert np.array_equal(row, mapping(tensor, point))
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_maps_give_a_vector_for_a_vector_and_a_stack_for_a_stack(self, order, rng):
+        tensor = random_tensor(order, 3, rng)
+        for mapping in (scaled_map, root_map) if order % 2 == 0 else (scaled_map,):
+            assert mapping(tensor, [0.5, -1.0, 2.0]).shape == (3,)
+            assert mapping(tensor, np.ones(3)).shape == (3,)
+            assert mapping(tensor, np.ones((1, 3))).shape == (1, 3)
+            assert mapping(tensor, [[0.5, -1.0, 2.0]] * 5).shape == (5, 3)
+            assert mapping(tensor, np.empty((0, 3))).shape == (0, 3)
+
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 3), ()])
     def test_maps_reject_wrong_shapes(self, ex41, shape):
         for mapping in (scaled_map, root_map):
@@ -615,3 +632,63 @@ class TestHomogeneousMaps:
             lhs = mapping(tensor, t * x)
             rhs = t * mapping(tensor, x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
+
+
+class TestReduceRows:
+    """``core._reduce_rows``: a stack's row sums and maxima, one column at a time."""
+
+    @staticmethod
+    def _stacks(k, n, seed):
+        """Signed rows over the whole float range, with a zero row, a ±0 row and rows holding ±inf
+        and NaN, and the ones the row norms reduce: their |x|**p for p = 1, 2, 3 and |x| (p = inf)."""
+        rng = np.random.default_rng([k, n, seed])
+        rows = rng.uniform(-2.0, 2.0, (k, n)) * 2.0 ** rng.integers(-1074, 1023, size=(k, n))
+        specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+        for r in range(1, k, 3):
+            cols = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            rows[r, cols] = rng.choice(specials, size=len(cols))
+        rows[0] = 0.0
+        if k > 1:
+            rows[1] = np.where(np.arange(n) % 2, 0.0, -0.0)
+        with np.errstate(over="ignore", under="ignore"):
+            return {"signed": rows, math.inf: np.abs(rows), **{p: np.abs(rows) ** p for p in (1.0, 2.0, 3.0)}}
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("k", [1, 2, 68, 1028])
+    def test_short_rows_give_numpys_bits(self, k, n):
+        for seed in range(3):
+            for name, rows in self._stacks(k, n, seed).items():
+                with np.errstate(invalid="ignore", over="ignore"):
+                    sums, sums_numpy = core._reduce_rows(np.add, rows), np.add.reduce(rows, axis=1)
+                    if name != "signed":  # maxima of the norms' non-negative entries, so no ±0 tie
+                        tops, tops_numpy = core._reduce_rows(np.maximum, rows), np.maximum.reduce(rows, axis=1)
+                        assert self._bits(tops) == self._bits(tops_numpy), (k, n, name)
+                assert sums.shape == (k,)
+                if name == "signed":
+                    # numpy adds a row to +0, so a row of -0 alone sums to +0 there and to -0 here.
+                    sums = sums + 0.0
+                assert self._bits(sums) == self._bits(sums_numpy), (k, n, name)
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 33])
+    @pytest.mark.parametrize("k", [1, 68])
+    def test_long_rows_add_left_to_right(self, k, n):
+        # From n = 8 numpy sums a row pairwise, so the oracle is the plain left-to-right loop.
+        for name, rows in self._stacks(k, n, 0).items():
+            with np.errstate(invalid="ignore", over="ignore"):
+                for ufunc in (np.add, np.maximum) if name != "signed" else (np.add,):
+                    expected = left_to_right_reduce(ufunc, rows)
+                    assert self._bits(core._reduce_rows(ufunc, rows)) == self._bits(expected), (k, n, name)
+
+    def test_leaves_its_input_and_gives_a_new_array(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        for ufunc in (np.add, np.maximum):
+            out = core._reduce_rows(ufunc, rows)
+            assert not np.shares_memory(out, rows)
+        assert np.array_equal(rows, np.arange(12.0).reshape(4, 3))
+        single = np.ones((2, 1))
+        assert not np.shares_memory(core._reduce_rows(np.add, single), single)
+        assert core._reduce_rows(np.add, np.empty((0, 4))).shape == (0,)

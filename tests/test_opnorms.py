@@ -17,7 +17,7 @@ from btensor import (
     random_b_tensor,
     t_norm_bounds,
 )
-from btensor.opnorms import _normalize_rows, closed_form_report
+from btensor.opnorms import _normalize_rows, _row_norms, closed_form_report
 
 INF = math.inf
 
@@ -139,6 +139,24 @@ class TestEstimate:
         with pytest.raises(ValueError, match="samples 1000000000000000 at dim 3 is over the limit"):
             estimate_norm(ex41, "T", INF, samples=10**15)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("p", [INF, 1.0, 2.0, 3.0])
+    def test_row_norms_are_numpys_row_reductions(self, p, n):
+        # Bit for bit the per-row reduce form, over the whole float range with zero, inf and NaN entries.
+        rng = np.random.default_rng([n, 7])
+        for k in (1, 2, 68, 1028):
+            rows = rng.uniform(-2.0, 2.0, (k, n)) * 2.0 ** rng.integers(-1074, 1023, size=(k, n))
+            special = rng.random((k, n)) < 0.1
+            rows[special] = rng.choice([0.0, -0.0, INF, -INF, math.nan], size=np.count_nonzero(special))
+            rows[0] = 0.0
+            with np.errstate(over="ignore", under="ignore"):
+                if p == INF:
+                    expected = np.maximum.reduce(np.abs(rows), axis=1)
+                else:
+                    expected = np.add.reduce(np.abs(rows) ** p, axis=1) ** (1 / p)
+                got = _row_norms(rows, p)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), (k, n)
+
     @pytest.mark.parametrize("p", [INF, 1.0, 2.0, 3.0])
     def test_zero_row_normalizes_to_first_coordinate(self, p):
         rows = np.array([[0.0, 0.0, 0.0], [0.0, -3.0, 4.0]])
@@ -233,6 +251,10 @@ class TestBoundReport:
     def test_estimate_rejects_negative_steps(self, ex41):
         with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
             estimate_norm(ex41, "T", INF, samples=4, ascent_steps=-1)
+        # A NaN step never moves a start, and an infinite one makes NaN candidates.
+        for step, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"), (-0.1, "-0.1")):
+            with pytest.raises(ValueError, match=f"^step must be finite and > 0, got {shown}$"):
+                estimate_norm(ex41, "T", INF, samples=4, ascent_steps=2, step=step)
 
 
 class TestSandwichProperty:

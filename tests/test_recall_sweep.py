@@ -19,6 +19,21 @@ def test_pairs_match_within_the_value_and_vector_tolerances():
     assert recall_sweep.unmatched(kept, []) == kept
 
 
+def test_a_vector_matches_its_negative():
+    # An H pair near (1, -1, 0, 0) whose two largest |components| tie: its canonical sign
+    # (largest component positive) flips with the last bits, as spectral's dedup allows.
+    kept = [_pair(2.0, [1.0, -1.0, 1e-8, 0.0])]
+    flipped = _pair(2.0 + 0.5e-9, [-1.0 + 0.5e-6, 1.0, -1e-8, 0.5e-6])
+    assert recall_sweep.unmatched([flipped], kept) == []
+    assert recall_sweep.unmatched(kept, [flipped]) == []
+    # The negative must be as close as the vector: a flipped vector 2e-6 away stays unmatched.
+    far = _pair(2.0, [-1.0 + 2e-6, 1.0, 0.0, 0.0])
+    assert recall_sweep.unmatched([far], kept) == [far]
+    # The negative at another value is another pair.
+    other = _pair(-2.0, [-1.0, 1.0, -1e-8, 0.0])
+    assert recall_sweep.unmatched([other], kept) == [other]
+
+
 def test_seed_ranges():
     assert recall_sweep._seed_range("1-12") == range(1, 13)
     assert recall_sweep._seed_range("5") == range(5, 6)

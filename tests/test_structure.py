@@ -358,23 +358,27 @@ class TestSemiPositivityIsExact:
     def test_cli_at_the_float_maximum_prints_what_the_reference_gives(self, mode, tmp_path, capsys):
         rng = np.random.default_rng(12)
         big = sys.float_info.max
-        for name, arr in (
-            ("signs", rng.choice([-big, big], size=(8, 8, 8))),
-            ("positive", np.full((8, 8, 8, 8), big)),
+        # At grid 10 the kernel's scores of the two small constant tensors overflow to inf.
+        for name, arr, grid in (
+            ("signs", rng.choice([-big, big], size=(8, 8, 8)), 8),
+            ("positive", np.full((8, 8, 8, 8), big), 8),
+            ("order-2", np.full((8, 8), big), 10),
+            ("order-3", np.full((3, 3, 3), big), 10),
         ):
             path = tmp_path / f"{name}.json"
             dump_tensor(Tensor(arr), path)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                code = main(["semipositive", str(path), "--mode", mode])
+                code = main(["semipositive", str(path), "--mode", mode, "--grid", str(grid)])
             out, err = capsys.readouterr()
             assert not caught
-            point, value, violated = reference_semipositivity_certificate(Tensor(arr), mode, 8)
+            with np.errstate(over="ignore", invalid="ignore"):
+                point, value, violated = reference_semipositivity_certificate(Tensor(arr), mode, grid)
             assert json.loads(out) == {
-                "mode": mode, "resolution": 8, "violated": violated,
+                "mode": mode, "resolution": grid, "violated": violated,
                 "worst_point": point.tolist(), "worst_value": value,
             }
-            assert err == f"{mode} semi-positivity at grid 8: {'violated' if violated else 'no violation found'}\n"
+            assert err == f"{mode} semi-positivity at grid {grid}: {'violated' if violated else 'no violation found'}\n"
             assert code == int(violated)
 
     def test_strict_member_scores_one_row_with_the_kernel(self, monkeypatch, rng):
