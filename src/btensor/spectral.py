@@ -16,13 +16,14 @@ and their residuals taken in one stacked contraction; the pairs within
 defect of its equation, which the Newton residual, this filter and
 :func:`h_residual`/:func:`z_residual` share.
 
-The Newton runs stop a start early in two ways, the last two of
-``NEWTON_LIMITS``: its line search ends at 2^-11, where a step lowers the
-squared merit by under 0.1% to first order, and the stall stop of
-:func:`core.damped_newton` ends it after ten slow rounds in a row.  Over one
-pass of the benchmark's eigen pool the two cut the trial points from 499,788
-to 140,673; at seeds 1-12 they lose 3 of 2714 H and 2 of 10742 Z pairs.  The
-complementarity solver uses neither: its starts seldom stall.
+The Newton runs stop a start early in one way, the ``min_step`` of
+``NEWTON_LIMITS``: the line search ends at 2^-11, a minimum step length
+(Dennis & Schnabel 1983, Section 6.3) where a step lowers the squared merit
+by under 0.1% to first order, and a start that no length helps stops there.
+Over one pass of the benchmark's eigen pool at seed 1 this cuts the trial
+points from 493,161 to 140,508 against a floor of 1e-10; at seeds 1-12 it
+loses 3 of 2714 H and 2 of 10742 Z pairs.  The complementarity solver keeps
+a floor of 1e-12.
 """
 from __future__ import annotations
 
@@ -47,9 +48,8 @@ ACCEPT_RESIDUAL = 1e-8
 VALUE_DEDUP_TOL = 1e-6
 VECTOR_DEDUP_TOL = 1e-4
 DEFAULT_STARTS = 64
-# max_iter, tol, min_step, stall of damped_newton.  A row either early stop ends is dropped, as is
-# any row left above tol; the eigen rows that stall seldom converge later (module docstring).
-NEWTON_LIMITS = (80, 1e-12, 2.0**-12, 10)
+# max_iter, tol, min_step of damped_newton; a row it leaves above tol is dropped (module docstring).
+NEWTON_LIMITS = (80, 1e-12, 2.0**-12)
 # The power iteration's convexity margin tau and its stop on a value change, each times max |a|.
 _POWER_MARGIN, _POWER_STOP = 1e-6, 1e-12
 
@@ -115,9 +115,10 @@ def eigenvalue_bounds(tensor: Tensor, variant: str = "B", report=None) -> EigenB
     m, n = tensor.order, tensor.dim
     diag = tensor.diagonal
     h_bound = None
-    if m % 2 == 0:
-        h_bound = float(diag[0]) if n == 1 else float(np.sum(diag ** (1.0 / (m - 1))) ** (m - 1))
-    z_bound = float(n ** (m / 2) * min(diag.max(), diag.sum() / n))
+    with np.errstate(over="ignore"):
+        if m % 2 == 0:
+            h_bound = float(diag[0]) if n == 1 else float(np.sum(diag ** (1.0 / (m - 1))) ** (m - 1))
+        z_bound = float(n ** (m / 2) * min(diag.max(), diag.sum() / n))
     return EigenBoundReport(h_bound=h_bound, z_bound=z_bound, strict=variant == "B" and n > 1)
 
 

@@ -75,8 +75,9 @@ class TcpOutcome(Report):
 def residual(instance: TcpInstance, x) -> tuple[float, np.ndarray]:
     """Natural residual ``max |min(x, w)|`` and the slack w at x."""
     x = np.asarray(x, dtype=float)
-    w = instance.q + contract(instance.tensor, x)
-    return float(np.maximum.reduce(np.abs(np.minimum(x, w)))), w
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = instance.q + contract(instance.tensor, x)
+        return float(np.maximum.reduce(np.abs(np.minimum(x, w)))), w
 
 
 def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> TcpOutcome:
@@ -89,7 +90,7 @@ def outcome_at(instance: TcpInstance, x, tol: float, starts_used: int = 0) -> Tc
 
 
 def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
-    """Damped semismooth Newton with projection on a (k, n) stack of starts; stops at stalls.
+    """Damped semismooth Newton with projection on a (k, n) stack of starts; stops where no length helps.
 
     Returns the (k, n) points and their (k,) residuals.
     """
@@ -107,7 +108,7 @@ def _monotone_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
         np.copyto(jac, identity, where=(phi == x)[:, :, None])
         return jac
 
-    x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12, 0)
+    x, _, res = damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, tol, 1e-12)
     return x, res
 
 
@@ -136,8 +137,9 @@ def _fb_newton(instance: TcpInstance, x0: np.ndarray, tol: float):
         return jac + (1.0 - x_r)[:, :, None] * identity
 
     fb_tol = tol * (2.0 - math.sqrt(2.0))
-    x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12, 0)[0], 0.0)
-    return x, np.maximum.reduce(np.abs(np.minimum(x, q + contract_batch(tensor, x))), axis=1)
+    x = np.maximum(damped_newton(evaluate, jacobian, x0, DEFAULT_MAX_ITER, fb_tol, 1e-12)[0], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x, np.maximum.reduce(np.abs(np.minimum(x, q + contract_batch(tensor, x))), axis=1)
 
 
 def _newton_from(instance: TcpInstance, x0: np.ndarray, tol: float, passes: tuple[Callable, Callable]):

@@ -1,18 +1,17 @@
-"""What the eigen searches' early stops cost in pairs.
+"""What the eigen searches' early stop costs in pairs.
 
     PYTHONPATH=src python tests/recall_sweep.py [--members N] [--bench-seeds A-B]
 
 Runs ``find_h_eigenpairs`` and ``find_z_eigenpairs`` at 64 starts twice on
 each tensor: once with ``spectral.NEWTON_LIMITS`` as shipped, and once with
 no early stop, ``UNSTOPPED``: ``min_step`` 1e-10, so the line search of
-``core.damped_newton`` halves down to 2^-33, and ``stall`` 0, which turns its
-stall stop off.  So it prices the shipped ``min_step`` and the stall stop
-together.  The tensors are ex41, ex42 and N seeded order-4 strict members
-(default 24), of dims 2, 3 and 4 in turn, general and symmetric in turn;
-with ``--bench-seeds`` they are instead the items of the ``eigen_search``
-benchmark pool at those seeds, each with its own start seed.
+``core.damped_newton`` halves down to 2^-33.  So it prices the shipped
+``min_step`` of 2^-12.  The tensors are ex41, ex42 and N seeded order-4
+strict members (default 24), of dims 2, 3 and 4 in turn, general and
+symmetric in turn; with ``--bench-seeds`` they are instead the items of the
+``eigen_search`` benchmark pool at those seeds, each with its own start seed.
 
-A pair of the run without the early stops is lost when no pair of the
+A pair of the run without the early stop is lost when no pair of the
 shipped run has its value within 1e-9 and its vector, or its negative,
 within 1e-6 in max-norm; a pair of the shipped run is gained when no pair of the other run
 matches it so.  A search whose pairs differ in any bit of a value, vector or
@@ -38,8 +37,8 @@ STARTS = 64
 VALUE_TOL = 1e-9
 VECTOR_TOL = 1e-6
 SEARCHES = {"H": find_h_eigenpairs, "Z": find_z_eigenpairs}
-# min_step and stall of damped_newton with neither early stop.
-UNSTOPPED = (1e-10, 0)
+# damped_newton's min_step without the early stop.
+UNSTOPPED = 1e-10
 
 
 def members(count: int):
@@ -92,9 +91,9 @@ def _search(search, tensor, seed, limits):
 
 def sweep(cases) -> None:
     """Print the table for ``cases`` of (label, tensor, start seed).  The totals per kind are
-    [searches, pairs without the early stops, lost, gained, searches that differ]."""
+    [searches, pairs without the early stop, lost, gained, searches that differ]."""
     shipped = spectral.NEWTON_LIMITS
-    unstopped = shipped[:2] + UNSTOPPED
+    unstopped = shipped[:2] + (UNSTOPPED,)
     totals = {kind: [0, 0, 0, 0, 0] for kind in SEARCHES}
     print("search\tkind\tpairs\tlost\tgained\tbits\tvalues lost | gained")
     for label, tensor, seed in cases:

@@ -175,7 +175,6 @@ class TestBoundsCommand:
         assert not out
         assert err == "error: ascent_steps must be >= 0, got -1\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bound_is_usage_error(self, capsys, tmp_path):
         big = load_tensor(EX41).array.copy()
         big[0, 0, 0, 0] = 1e308
@@ -250,7 +249,6 @@ class TestEigenCommand:
         assert not out
         assert "starts must be >= 1" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_z_zero_iterate_is_not_a_crash(self, capsys, tmp_path):
         path = tmp_path / "huge_diagonal.json"
         dump_tensor(Tensor.diagonal_tensor(3, 2, [1e200, 1.0]), path)

@@ -190,7 +190,6 @@ class TestBoundReport:
         with pytest.raises(ClassificationError):
             bound_report(t, "T", INF)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("p,name", [(INF, "b_upper"), (2.0, "general_upper")])
     def test_overflowing_bound_is_named(self, ex41, p, name):
         big = ex41.array.copy()

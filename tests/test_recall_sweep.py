@@ -46,14 +46,14 @@ def test_prints_a_total_per_kind_and_overall(capsys):
     totals = [row for row in rows if row[0] == "total"]
     assert [row[1] for row in totals] == ["H", "Z", "all"]
     assert all(row[-1].endswith(f"of {6 if row[1] == 'all' else 3} differ") for row in totals)
-    # Each total counts the pairs of the searches without the early stops, and the overall sums the kinds.
+    # Each total counts the pairs of the searches without the early stop, and the overall sums the kinds.
     assert int(totals[2][2]) == int(totals[0][2]) + int(totals[1][2]) > 0
 
 
 def test_compares_the_shipped_limits_with_no_early_stop(monkeypatch, capsys):
-    # Without either early stop the line search halves down to 1e-10 and no stall is counted.
+    # Without the early stop the line search halves down to 1e-10.
     seen = []
     monkeypatch.setattr(recall_sweep, "_search", lambda search, tensor, seed, limits: seen.append(limits) or [])
     recall_sweep.sweep([("tensor", None, 0)])
     shipped = spectral.NEWTON_LIMITS
-    assert seen == [shipped[:2] + (1e-10, 0), shipped] * 2
+    assert seen == [shipped[:2] + (1e-10,), shipped] * 2
