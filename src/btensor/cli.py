@@ -53,9 +53,12 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
         raise ValueError(f"vector is not valid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ValueError("vector is nested too deeply to decode") from None
+    # numpy would convert numeric strings and booleans, so check the JSON types first.
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError("vector must be a JSON list of numbers")
     try:
         vec = np.asarray(values, dtype=float)
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"vector must be a JSON list of numbers: {exc}") from exc
     if vec.shape != (dim,):
         raise ValueError(f"vector must have length {dim}, got shape {vec.shape}")

@@ -8,9 +8,9 @@ last index first with a ``(k, n)`` batch as a leading axis (any order), does
 every contraction; :func:`contract` is its one-row case.  On it rest the two
 degree-one homogeneous maps ``T`` (:func:`scaled_map`) and ``F``
 (:func:`root_map`); they and :func:`contraction_jacobian` each take one
-vector or a batch.  A batch's row sums and maxima, such as ``T``'s row
-2-norms and the norm ascent's row p-norms, are reduced one column at a time
-(``_reduce_rows``), numpy's bits on rows of up to 7 entries.  The Jacobian
+vector or a batch.  A batch's row 2-norms are ``sqrt`` of one row dot
+(``_row_norms``); its other row sums and maxima are reduced one column at a
+time (``_reduce_rows``), numpy's bits on rows of up to 7 entries.  The Jacobian
 is the same kernel too: it is linear in the entries, so it is the
 ``matrix=True`` stage ``B x^(m-2)`` of the slot-sum tensor B, the sum over
 the m-1 contracted slots of A with that slot moved next to the first index,
@@ -353,6 +353,21 @@ def _reduce_rows(ufunc, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, d) stacks, bit for bit the 1-D ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of every row of a (k, n) stack: the one way to take a stack's 2-norm is
+    ``sqrt(_row_dot(rows, rows))``; every other p reduces a column at a time."""
+    if p == 2.0:
+        return np.sqrt(_row_dot(rows, rows))
+    if p == math.inf:
+        return _reduce_rows(np.maximum, np.abs(rows))
+    return _reduce_rows(np.add, np.abs(rows) ** p) ** (1 / p)
+
+
 def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """Degree-one homogeneous map: the contraction rescaled by ``|x|_2 ** (2 - m)``.
 
@@ -360,8 +375,7 @@ def scaled_map(tensor: Tensor, x) -> np.ndarray:
     """
     pts = _as_rows(tensor, x)
     values = contract_batch(tensor, pts)
-    # The ufuncs of np.linalg.norm(pts, axis=1), the sum by columns.
-    norms = np.sqrt(_reduce_rows(np.add, pts * pts))
+    norms = _row_norms(pts, 2.0)
     if np.count_nonzero(norms) < len(norms):
         scale = np.zeros_like(norms)
         live = norms > 0

@@ -8,12 +8,12 @@ multistart ascent supplies an empirical lower estimate so every report can
 be sandwich checked: ``b_lower <= estimate <= min(general_upper, b_upper)``.
 The ascent moves all its starts at once, one batched map call per
 (coordinate, sign) move; each start still accepts its moves in sequence,
-as if it ran alone; its row norms reduce a column at a time
-(``core._reduce_rows``), not a row at a time.  One private closed form,
-``scale * ||v ** r||_p``, gives every bound; :func:`closed_form_report`
-classifies a tensor once, or takes the caller's classification, and gives the
-class bracket at its own class as a :class:`NormBoundReport` with no estimate,
-and :func:`bound_report` adds the checked estimate to it.
+as if it ran alone; its row norms are ``core._row_norms``.  One private
+closed form, ``scale * ||v ** r||_p`` with the in-sum exponent ``p * r``,
+gives every bound; :func:`closed_form_report` classifies a tensor once, or
+takes the caller's classification, and gives the class bracket at its own
+class as a :class:`NormBoundReport` with no estimate, and
+:func:`bound_report` adds the checked estimate to it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Report, Tensor, UnsupportedOrder, _reduce_rows, check_count, root_map, scaled_map
+from .core import Report, Tensor, UnsupportedOrder, _row_norms, check_count, root_map, scaled_map
 from .structure import require_membership
 
 SANDWICH_SLACK = 1e-9
@@ -47,12 +47,11 @@ def _checked_p(operator: str, p: float, order: Optional[int] = None) -> float:
     return p
 
 
-def _closed_form(v: np.ndarray, p: float, scale: float, power: float):
-    """``scale * ||v ** r||_p``, where ``power`` is r for the max norm and, for finite p, the
-    in-sum exponent ``p * r`` as the caller rounds it."""
+def _closed_form(v: np.ndarray, p: float, scale: float, r: float):
+    """``scale * ||v ** r||_p``; for finite p the in-sum exponent is ``p * r``."""
     if p == math.inf:
-        return scale * v.max() ** power
-    return scale * np.sum(v**power) ** (1 / p)
+        return scale * v.max() ** r
+    return scale * np.sum(v ** (p * r)) ** (1 / p)
 
 
 def general_upper_bound(tensor: Tensor, operator: str, p: float = math.inf) -> float:
@@ -60,11 +59,8 @@ def general_upper_bound(tensor: Tensor, operator: str, p: float = math.inf) -> f
     m, n = tensor.order, tensor.dim
     p = _checked_p(operator, p, m)
     rabs = np.abs(tensor.array).reshape(n, -1).sum(axis=1)
-    if operator == "T":
-        scale, power = (1, 1) if p == math.inf else (n ** ((m - 2) / p), p)
-    else:
-        scale, power = 1, 1 / (m - 1) if p == math.inf else p / (m - 1)
-    return float(_closed_form(rabs, p, scale, power))
+    scale = n ** ((m - 2) / p) if operator == "T" and p != math.inf else 1
+    return float(_closed_form(rabs, p, scale, 1 if operator == "T" else 1 / (m - 1)))
 
 
 def _bracket(tensor: Tensor, operator: str, p: float, strict: bool, beta: np.ndarray) -> tuple[float, float]:
@@ -79,10 +75,10 @@ def _bracket(tensor: Tensor, operator: str, p: float, strict: bool, beta: np.nda
     m, n = tensor.order, tensor.dim
     r = 1 if operator == "T" else 1.0 / (m - 1)
     if p == math.inf:
-        scale, power = (n ** (m / 2) if operator == "T" else n), r
+        scale = n ** (m / 2) if operator == "T" else n
     else:
-        scale, power = (n ** ((m * p - 2) / (2 * p)) if operator == "T" else n ** ((p - 1) / p)), p * r
-    lower, upper = (_closed_form(v, p, scale, power) for v in (beta, tensor.diagonal))
+        scale = n ** ((m * p - 2) / (2 * p)) if operator == "T" else n ** ((p - 1) / p)
+    lower, upper = (_closed_form(v, p, scale, r) for v in (beta, tensor.diagonal))
     if operator == "F" and p == math.inf:
         upper = min(general_upper_bound(tensor, "F", math.inf), upper)
     if strict:
@@ -110,13 +106,6 @@ def f_norm_bounds(tensor: Tensor, p: float = math.inf, variant: str = "B") -> tu
     """
     p = _checked_p("F", p, tensor.order)
     return _bracket(tensor, "F", p, variant == "B", require_membership(tensor, variant).beta)
-
-
-def _row_norms(points: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm of every row of a (k, n) stack, reduced a column at a time."""
-    if p == math.inf:
-        return _reduce_rows(np.maximum, np.abs(points))
-    return _reduce_rows(np.add, np.abs(points) ** p) ** (1 / p)
 
 
 def _normalize_rows(points: np.ndarray, p: float) -> np.ndarray:

@@ -14,7 +14,8 @@ running starts packed.  The converged rows are then canonicalised together
 and their residuals taken in one stacked contraction; the pairs within
 ``ACCEPT_RESIDUAL`` are deduplicated and sorted.  Each kind has one stacked
 defect of its equation, which the Newton residual, this filter and
-:func:`h_residual`/:func:`z_residual` share.
+:func:`h_residual`/:func:`z_residual` share.  Their 2-norms are
+``core._row_norms`` and their ``x.x`` ``core._row_dot``, one call per stack.
 
 The Newton runs stop a start early in one way, the ``min_step`` of
 ``NEWTON_LIMITS``: the line search ends at 2^-11, a minimum step length
@@ -36,6 +37,8 @@ import numpy as np
 from .core import (
     Report,
     Tensor,
+    _row_dot,
+    _row_norms,
     _slot_sum,
     check_count,
     contract_batch,
@@ -69,14 +72,14 @@ def _h_defect(tensor: Tensor, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _z_defect(tensor: Tensor, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``contract(A, x) - mu * x * (x.x)**((m-2)/2)`` per row of a (k, n) stack x with (k,) values mu."""
-    s = _row_power(_row_dot(x, x), (tensor.order - 2) / 2)
+    s = _row_dot(x, x) ** ((tensor.order - 2) / 2)
     return contract_batch(tensor, x) - mu[:, None] * x * s[:, None]
 
 
 def _residual(defect, tensor: Tensor, value: float, x) -> float:
     """2-norm of ``defect`` at one vector x with its value."""
     d = defect(tensor, np.asarray(x, dtype=float)[None], np.array([float(value)]))
-    return float(np.sqrt(_row_dot(d, d))[0])
+    return float(_row_norms(d, 2.0)[0])
 
 
 def h_residual(tensor: Tensor, value: float, x: np.ndarray) -> float:
@@ -147,18 +150,13 @@ def _accepted_pairs(kind: str, tensor: Tensor, z: np.ndarray, defect) -> list[Ei
     their ``defect``, is within ``ACCEPT_RESIDUAL``, deduplicated and sorted."""
     n = tensor.dim
     d = defect(tensor, z[:, :n], z[:, n])
-    residuals = np.sqrt(_row_dot(d, d))
+    residuals = _row_norms(d, 2.0)
     accepted = residuals <= ACCEPT_RESIDUAL
     z, residuals = z[accepted], residuals[accepted]
     return [
         EigenPair(kind=kind, value=float(z[row, n]), vector=z[row, :n], residual=float(residuals[row]))
         for row in _dedup_and_sort(z[:, n], z[:, :n]).tolist()
     ]
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, d) stacks, bit for bit the 1-D ``a[i] @ b[i]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -174,16 +172,11 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _row_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Python's ``float ** exponent`` per entry; numpy's array power can differ in the last bit."""
-    return np.array([v**exponent for v in values.tolist()])
-
-
 def _unit_starts(seed: int, starts: int, n: int) -> np.ndarray:
     """``starts`` standard normal draws of length n in draw order, each scaled to unit 2-norm."""
     check_count("starts", starts, n)
     x = np.random.default_rng(seed).standard_normal((starts, n))
-    x /= np.sqrt(_row_dot(x, x))[:, None]
+    x /= _row_norms(x, 2.0)[:, None]
     return x
 
 
@@ -199,7 +192,7 @@ def _bordered_newton(tensor: Tensor, defect, terms, x0: np.ndarray, values0: np.
         g = np.empty_like(z)
         g[:, :n] = defect(tensor, x, z[:, n])
         g[:, n] = 0.5 * (_row_dot(x, x) - 1.0)
-        return z, g, np.sqrt(_row_dot(g, g))
+        return z, g, _row_norms(g, 2.0)
 
     def jacobian(z, g):
         x = z[:, :n]
@@ -253,9 +246,9 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
 
     def terms(x, mu):
         sq = _row_dot(x, x)
-        s = _row_power(sq, (m - 2) / 2)[:, None, None]
+        s = (sq ** ((m - 2) / 2))[:, None, None]
         # (m-2) |x|^(m-4) x x^T tends to 0 at x = 0, where the power alone is 1/0 for m < 4.
-        bend = np.array([(m - 2) * v ** ((m - 4) / 2) if v else 0.0 for v in sq.tolist()])[:, None, None]
+        bend = (m - 2) * np.power(sq, (m - 4) / 2, out=np.zeros_like(sq), where=sq != 0)[:, None, None]
         outer = x[:, :, None] * x[:, None, :]
         return mu[:, None, None] * (s * np.eye(n) + bend * outer), -x * s[:, :, 0]
 
@@ -268,7 +261,7 @@ def find_z_eigenpairs(tensor: Tensor, starts: int = DEFAULT_STARTS, seed: int = 
     # Canonical vectors: unit 2-norm (no row is near 0, as x.x >= 1 - 2e-12) with the max-attaining
     # component positive.  Flipping the sign keeps the value at even order, negates it at odd.
     x, mu = z[:, :n], z[:, n]
-    x /= np.sqrt(_row_dot(x, x))[:, None]
+    x /= _row_norms(x, 2.0)[:, None]
     flip = np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)[:, 0] < 0
     np.negative(x, out=x, where=flip[:, None])
     if m % 2:
@@ -322,7 +315,7 @@ def _shifted_power_iteration(tensor: Tensor, x: np.ndarray):
             diag = direction * np.diagonal(stage, axis1=1, axis2=2)
             gershgorin = (m * (m - 1)) * (diag + np.abs(diag) - np.add.reduce(np.abs(stage), axis=2)).min(axis=1)
             y = direction * values + np.minimum(np.maximum(0.0, (tau - gershgorin) / m), cap)[:, None] * x
-            norm_y = np.sqrt(_row_dot(y, y))
+            norm_y = _row_norms(y, 2.0)
             finite = np.isfinite(norm_y)
             if not finite.all():
                 # y.y overflows once |y| passes about 1.3e154: a finite such row takes its norm from
@@ -330,7 +323,7 @@ def _shifted_power_iteration(tensor: Tensor, x: np.ndarray):
                 over = ~finite & np.isfinite(y).all(axis=1)
                 _, exp = np.frexp(np.abs(y[over]).max(axis=1))
                 scaled = np.ldexp(y[over], -exp[:, None])
-                norm_y[over] = np.ldexp(np.sqrt(_row_dot(scaled, scaled)), exp)
+                norm_y[over] = np.ldexp(_row_norms(scaled, 2.0), exp)
                 finite = np.isfinite(norm_y)
             # The running starts' states stay packed; a start that stops goes back to the outputs.
             # finite is false also where y is not finite.  Round 10 001 stops every start.

@@ -4,10 +4,11 @@
 ``general_upper_bound`` for T and F and the class brackets
 ``t_norm_bounds`` and ``f_norm_bounds`` at both variants, with p in
 {1, 1.5, 2, 2.5, 3, 3.5, 5, inf}, on ex41, ex42 and one order-6 member.
-At some of these p the general F bound's in-sum exponent ``p / (m - 1)``
-and the class bound's ``p * (1 / (m - 1))`` round apart (2.5 at m = 4, 3 at
-m = 6), so the table pins which rounding each bound uses.  A refactor that
-keeps the arithmetic keeps every bit.  The file is the stdout of
+Every F bound, general and class, takes its in-sum exponent in one
+rounding, ``p * (1 / (m - 1))``; the other, ``p / (m - 1)``, moves the last
+bit of the general F bound at p = 2.5, 3.5 and 5 on ex41 and ex42 and at
+p = 1.5, 3 and 3.5 on the order-6 member, so the table pins the one rounding.
+A refactor that keeps the arithmetic keeps every bit.  The file is the stdout of
 ``PYTHONPATH=src python tests/test_bound_golden.py``; regenerate it only for
 an intended change of a bound's arithmetic.
 """

@@ -321,6 +321,19 @@ class TestTcpCommand:
         assert not out
         assert err.startswith("error: vector")
 
+    @pytest.mark.parametrize("vector", ['["-1", true, "-1"]', '[false, "-2", -1]', "[[-1, -1, -1]]"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", EX41, "--q"], ["bounds", EX41, "--q"], ["verify", EX41, "--q", "[-1,-1,-1]", "--x"]],
+        ids=["solve-q", "bounds-q", "verify-x"],
+    )
+    def test_vector_of_strings_or_booleans_is_usage_error(self, capsys, argv, vector):
+        # numpy would read "-1" as -1 and true as 1; the vector takes JSON numbers only, as a
+        # tensor's dense list does.
+        code, out, err = run_cli(capsys, "tcp", *argv, vector)
+        assert (code, out) == (2, "")
+        assert err == "error: vector must be a JSON list of numbers\n"
+
     @pytest.mark.parametrize(
         "command,flag",
         [("bounds", "--starts"), ("bounds", "--tol"), ("bounds", "--seed"), ("verify", "--starts"), ("verify", "--seed")],

@@ -647,3 +647,22 @@ class TestReduceRows:
         single = np.ones((2, 1))
         assert not np.shares_memory(core._reduce_rows(np.add, single), single)
         assert core._reduce_rows(np.add, np.empty((0, 4))).shape == (0,)
+
+
+class TestRowNorms:
+    """``core._row_norms``: a stack's 2-norms as ``sqrt(_row_dot(rows, rows))``."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("k", [1, 2, 68, 1028])
+    def test_two_norm_is_the_root_of_the_left_to_right_sum_of_squares(self, k, n):
+        # The row dot adds a row's squares in index order, so every 2-norm takes one rounding
+        # order: on rows over the whole float range, with zero rows and rows holding ±inf and NaN,
+        # and on rows of one scale, where a pairwise or reversed sum rounds apart.
+        for seed in range(3):
+            one_scale = np.random.default_rng([k, n, seed]).uniform(-2.0, 2.0, (k, n))
+            one_scale[0] = 0.0
+            for rows in (TestReduceRows._stacks(k, n, seed)["signed"], one_scale):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = np.sqrt(left_to_right_reduce(np.add, rows * rows))
+                    got = core._row_norms(rows, 2.0)
+                assert TestReduceRows._bits(got) == TestReduceRows._bits(expected), (k, n, seed)

@@ -17,7 +17,8 @@ from btensor import (
     random_b_tensor,
     t_norm_bounds,
 )
-from btensor.opnorms import _normalize_rows, _row_norms, closed_form_report
+from btensor.core import _row_norms
+from btensor.opnorms import _normalize_rows, closed_form_report
 
 INF = math.inf
 
